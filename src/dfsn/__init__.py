@@ -4,30 +4,9 @@ A self-contained implementation: a numpy-backed reverse-mode autodiff engine,
 a five-layer convolutional image branch, a multi-width text convolution branch
 with max/mean/min pooling, a fused fully-connected head, SGD training with a
 staircase learning-rate schedule, and the file formats tying them together.
-"""
 
-from .autodiff import (ComputeGraph, ShapeError, Tensor, backward, bias_add,
-                       concat, conv2d, lrn, matmul, maxpool2d, relu,
-                       softmax_cross_entropy, stable_softmax, tanh_op,
-                       triple_pool, triple_pool_columns, zero_grads)
-from .gradcheck import GradCheckEntry, GradCheckReport, grad_check
-from .text import (EmbeddingTable, SentenceMatrix, TextBranchParams, TextConfig,
-                   embed_sentence, encode_text, init_text_params, oov_vector,
-                   text_feature_maps, text_preset, tokenize)
-from .image import (ConvLayerSpec, ConvStackConfig, ImageBranchParams,
-                    bilinear_resize, encode_image, image_preset,
-                    init_image_params, preprocess_image)
-from .model import (FusionConfig, FusionModelParams, ModelSample, Prediction,
-                    batch_loss, config_from_dict, config_to_dict, empty_model,
-                    encode_inputs, forward, fuse, fusion_preset, head_logits,
-                    init_model, predict, sample_loss)
-from .train import (EpochRecord, MetricsReport, StepRecord, TrainConfig,
-                    TrainHistory, TrainingError, apply_gradients, evaluate,
-                    lr_at_step, render_history_markdown, sgd_step, train)
-from .data import (CheckpointFormatError, EmbeddingFormatError, Manifest,
-                   ManifestError, PpmFormatError, Sample, filter_by_length,
-                   gen_synthetic, load_checkpoint, load_embeddings,
-                   load_manifest, load_ppm, materialize, save_checkpoint,
-                   save_manifest, save_ppm, split_train_test)
+The public surface is the ``dfsn`` command (``dfsn.cli``) and the submodules
+themselves; nothing is re-exported at the package level.
+"""
 
 __version__ = "0.1.0"

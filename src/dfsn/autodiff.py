@@ -102,9 +102,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def backward(self) -> None:
         backward(self)
 
@@ -170,31 +167,25 @@ def _make_node(values: np.ndarray, op: str, parents: Sequence[Tensor],
     return out
 
 
-class ComputeGraph:
-    """Topologically ordered view of the nodes reachable from a root tensor."""
-
-    def __init__(self, nodes: list[Tensor]):
-        self.nodes = nodes  # leaves first, root last
-
-    @classmethod
-    def from_root(cls, root: Tensor) -> "ComputeGraph":
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        # Iterative post-order DFS; graphs can be deep for long training chains.
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        return cls(order)
+def _topo_order(root: Tensor) -> list[Tensor]:
+    """Nodes reachable from ``root`` in topological order, leaves first, root last."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    # Iterative post-order DFS; graphs can be deep for long training chains.
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order
 
 
 def backward(loss: Tensor) -> None:
@@ -205,9 +196,8 @@ def backward(loss: Tensor) -> None:
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    graph = ComputeGraph.from_root(loss)
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values, dtype=np.float64)}
-    for node in reversed(graph.nodes):
+    for node in reversed(_topo_order(loss)):
         g = flowing.pop(id(node), None)
         if g is None:
             continue

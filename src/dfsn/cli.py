@@ -299,11 +299,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (dio.ManifestError, dio.EmbeddingFormatError, dio.PpmFormatError,
-            dio.CheckpointFormatError, ValueError, OSError) as exc:
+    # every loader error type (manifest, word vectors, PPM, checkpoint) is a ValueError
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

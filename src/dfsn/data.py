@@ -276,49 +276,50 @@ def load_checkpoint(path) -> FusionModelParams:
     stored_crc = struct.unpack("<I", data[-4:])[0]
     if zlib.crc32(data[:-4]) != stored_crc:
         raise CheckpointFormatError(f"{path}: checksum mismatch, file is corrupt")
+    # a valid CRC proves only that the writer's bytes arrived intact, not that
+    # the writer laid them out right, so every read below is bounds-checked
     pos = 5
-    version = struct.unpack_from("<H", data, pos)[0]
-    pos += 2
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(
-            f"{path}: version {version} unsupported (expected {CHECKPOINT_VERSION})")
-    (config_len,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    try:
-        config = config_from_dict(json.loads(data[pos:pos + config_len].decode("utf-8")))
-    except (ValueError, KeyError) as exc:
-        raise CheckpointFormatError(f"{path}: bad config block ({exc})") from None
-    pos += config_len
-    (tensor_count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-
-    params = empty_model(config)
-    expected = params.named_tensors()
-    seen = set()
     end = len(data) - 4
-    for _ in range(tensor_count):
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        name = data[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        ndim = data[pos]
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, pos) if ndim else ()
-        pos += 4 * ndim
-        numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = data[pos:pos + 4 * numel]
-        pos += 4 * numel
-        if pos > end:
-            raise CheckpointFormatError(f"{path}: tensor table overruns the file")
-        if name not in expected:
-            raise CheckpointFormatError(f"{path}: unexpected tensor {name!r} for this config")
-        target = expected[name]
-        if tuple(shape) != target.shape:
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > end:
+            raise CheckpointFormatError(f"{path}: record at byte {pos} overruns the file")
+        pos += n
+        return data[pos - n:pos]
+
+    try:
+        (version,) = struct.unpack("<H", take(2))
+        if version != CHECKPOINT_VERSION:
             raise CheckpointFormatError(
-                f"{path}: tensor {name!r} has shape {tuple(shape)}, config implies {target.shape}")
-        values = np.frombuffer(payload, dtype="<f4").reshape(shape)
-        target.values[...] = values.astype(target.values.dtype)
-        seen.add(name)
+                f"{path}: version {version} unsupported (expected {CHECKPOINT_VERSION})")
+        (config_len,) = struct.unpack("<I", take(4))
+        config_bytes = take(config_len)
+        try:
+            config = config_from_dict(json.loads(config_bytes.decode("utf-8")))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointFormatError(f"{path}: bad config block ({exc})") from None
+        (tensor_count,) = struct.unpack("<I", take(4))
+
+        params = empty_model(config)
+        expected = params.named_tensors()
+        seen = set()
+        for _ in range(tensor_count):
+            (name_len,) = struct.unpack("<H", take(2))
+            name = take(name_len).decode("utf-8")
+            (ndim,) = take(1)
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            if name not in expected:
+                raise CheckpointFormatError(f"{path}: unexpected tensor {name!r} for this config")
+            target = expected[name]
+            if shape != target.shape:
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name!r} has shape {shape}, config implies {target.shape}")
+            values = np.frombuffer(take(4 * target.numel), dtype="<f4").reshape(shape)
+            target.values[...] = values.astype(target.values.dtype)
+            seen.add(name)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise CheckpointFormatError(f"{path}: malformed tensor table ({exc})") from None
     if pos != end:
         raise CheckpointFormatError(f"{path}: {end - pos} unexpected trailing bytes")
     missing = sorted(set(expected) - seen)

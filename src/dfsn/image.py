@@ -229,7 +229,3 @@ def encode_image(img, params: ImageBranchParams, config: Optional[ConvStackConfi
             raise ShapeError(f"layer {i}: {exc}") from None
         c_in = spec.out_channels
     return x.flatten()
-
-
-def encoded_image_size(config: ConvStackConfig) -> int:
-    return config.feature_size

@@ -98,17 +98,26 @@ class FusionModelParams:
     def tensors(self) -> list[Tensor]:
         return list(self.named_tensors().values())
 
-    def zero_grads(self) -> None:
-        for t in self.tensors():
-            t.zero_grad()
 
-    def all_finite(self) -> bool:
-        return all(np.isfinite(t.values).all() for t in self.tensors())
+class _ZeroDraws:
+    """Init-generator stand-in whose uniform draws are zeros, so ``empty_model``
+    shares ``init_model``'s layout code without making any random draw."""
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        return np.zeros(size)
 
 
 def init_model(config: FusionConfig, seed: int = 0) -> FusionModelParams:
     """Uniform [-a, a] weights with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
-    rng = np.random.default_rng(seed)
+    return _build_model(config, np.random.default_rng(seed))
+
+
+def empty_model(config: FusionConfig) -> FusionModelParams:
+    """Same parameter structure as ``init_model`` but all zeros (loader target)."""
+    return _build_model(config, _ZeroDraws())
+
+
+def _build_model(config: FusionConfig, rng) -> FusionModelParams:
     dtype = config.np_dtype
     image_params = None
     text_params = None
@@ -125,14 +134,6 @@ def init_model(config: FusionConfig, seed: int = 0) -> FusionModelParams:
         fc_b.append(Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
     return FusionModelParams(config=config, image_params=image_params,
                              text_params=text_params, fc_weights=fc_w, fc_biases=fc_b)
-
-
-def empty_model(config: FusionConfig) -> FusionModelParams:
-    """Same parameter structure as ``init_model`` but all zeros (loader target)."""
-    params = init_model(config, seed=0)
-    for t in params.tensors():
-        t.values[...] = 0
-    return params
 
 
 def fuse(x_i: Tensor, x_t: Tensor) -> Tensor:
@@ -210,7 +211,7 @@ def batch_loss(batch: Sequence[ModelSample], params: FusionModelParams,
     if len(batch) == 0:
         raise ValueError("batch_loss of an empty batch")
     losses = [sample_loss(s, params, table).reshape(1) for s in batch]
-    return concat(losses, axis=0).mean() if len(losses) > 1 else losses[0].reshape(())
+    return concat(losses, axis=0).mean()
 
 
 @dataclass
@@ -218,6 +219,11 @@ class Prediction:
     label: int
     p_neg: float
     p_pos: float
+
+
+def predicted_label(probs: np.ndarray) -> int:
+    """Argmax of a [p_neg, p_pos] distribution; ties go to label 0."""
+    return 0 if probs[0] >= probs[1] else 1
 
 
 def predict(image, text, params: FusionModelParams,
@@ -237,8 +243,8 @@ def predict(image, text, params: FusionModelParams,
         tokens = tokenize(text) if isinstance(text, str) else list(text)
     x = encode_inputs(img, tokens, params, table)
     probs = forward(x, params)
-    label = 0 if probs[0] >= probs[1] else 1
-    return Prediction(label=label, p_neg=float(probs[0]), p_pos=float(probs[1]))
+    return Prediction(label=predicted_label(probs), p_neg=float(probs[0]),
+                      p_pos=float(probs[1]))
 
 
 # -- config (de)serialization for checkpoints --------------------------------

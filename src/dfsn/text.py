@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tensor, ShapeError, bias_add, concat, matmul, relu, tanh_op
-from .autodiff import triple_pool, triple_pool_columns  # noqa: F401  (re-exported API)
+from .autodiff import (Tensor, ShapeError, bias_add, concat, matmul, tanh_op,
+                       triple_pool_columns)
 
 DEFAULT_DIM = 200
 DEFAULT_MAX_LEN = 150
@@ -57,8 +57,7 @@ def oov_vector(word: str, dim: int, seed: int = 0) -> np.ndarray:
 class EmbeddingTable:
     """Word to k-vector map with a deterministic out-of-vocabulary fallback.
 
-    Vectors are frozen: nothing here ever receives a gradient. The padding
-    vector is all zeros, neutral under the dot products the filters take.
+    Vectors are frozen: nothing here ever receives a gradient.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM, vectors: Optional[dict[str, np.ndarray]] = None,
@@ -75,7 +74,6 @@ class EmbeddingTable:
                 self.vectors[word] = arr
         self.fallback_seed = fallback_seed
         self._fallback_cache: dict[str, np.ndarray] = {}
-        self.padding = np.zeros(dim, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -107,17 +105,16 @@ class SentenceMatrix:
     n: int
 
     @property
-    def max_len(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.matrix.shape[1]
 
 
 def embed_sentence(tokens: Sequence[str], table: EmbeddingTable,
                    max_len: int = DEFAULT_MAX_LEN) -> SentenceMatrix:
-    """Stack per-token vectors in order, truncating and zero-padding to max_len."""
+    """Stack per-token vectors in order, truncating and zero-padding to max_len.
+
+    Zero padding rows are neutral under the dot products the filters take.
+    """
     n = min(len(tokens), max_len)
     matrix = np.zeros((max_len, table.dim), dtype=np.float64)
     for i in range(n):
@@ -142,7 +139,7 @@ class TextConfig:
             raise ValueError("filter widths must be positive")
         if tuple(sorted(self.widths)) != tuple(self.widths):
             raise ValueError("filter widths must be ascending")
-        if self.nonlinearity not in ("tanh", "relu", "identity"):
+        if self.nonlinearity not in ("tanh", "identity"):
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
 
     @property
@@ -197,8 +194,6 @@ def init_text_params(config: TextConfig, rng: np.random.Generator,
 def _nonlinearity(name: str):
     if name == "tanh":
         return tanh_op
-    if name == "relu":
-        return relu
     return lambda t: t
 
 
@@ -232,20 +227,13 @@ def text_feature_maps(sm: SentenceMatrix, params: TextBranchParams) -> dict[int,
     return maps
 
 
-def encode_text(text: str | Sequence[str], table: EmbeddingTable,
-                params: TextBranchParams) -> Tensor:
-    """Full text branch: tokens -> pooled features of every filter.
+def encode_sentence_matrix(sm: SentenceMatrix, params: TextBranchParams) -> Tensor:
+    """Text branch from an embedded sentence to the pooled features of every filter.
 
     Output length is 3 * filters_per_width * len(widths), laid out
     width-ascending then filter-index-ascending, each filter contributing
     its [max, mean, min] block.
     """
-    tokens = tokenize(text) if isinstance(text, str) else list(text)
-    sm = embed_sentence(tokens, table, params.config.max_len)
-    return encode_sentence_matrix(sm, params)
-
-
-def encode_sentence_matrix(sm: SentenceMatrix, params: TextBranchParams) -> Tensor:
     if sm.dim != params.config.dim:
         raise ShapeError(
             f"sentence matrix dim {sm.dim} != text branch dim {params.config.dim}")
@@ -255,7 +243,3 @@ def encode_sentence_matrix(sm: SentenceMatrix, params: TextBranchParams) -> Tens
         pooled = triple_pool_columns(maps[h])  # (F, 3)
         blocks.append(pooled.reshape(-1))
     return concat(blocks, axis=0) if len(blocks) > 1 else blocks[0]
-
-
-def encoded_text_size(config: TextConfig) -> int:
-    return config.feature_size

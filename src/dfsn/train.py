@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, backward
+from .autodiff import Tensor, ShapeError, backward, zero_grads
 from .model import (FusionModelParams, ModelSample, batch_loss, encode_inputs,
-                    forward)
+                    forward, predicted_label)
 from .text import EmbeddingTable
 
 
@@ -36,7 +36,6 @@ class TrainConfig:
     decay_every: int = 3000
     epochs: int = 10
     seed: int = 0
-    optimizer: str = "sgd"
     eval_every: int = 1  # epochs between evaluations; 0 disables them
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class TrainConfig:
             raise ValueError("decay_every must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.optimizer != "sgd":
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; only 'sgd' is implemented")
 
 
 def lr_at_step(step: int, cfg: TrainConfig) -> float:
@@ -141,8 +138,7 @@ def evaluate(params: FusionModelParams, samples: Sequence[ModelSample],
     tp = fp = fn = tn = 0
     for s in samples:
         x = encode_inputs(s.image, s.tokens, params, table)
-        probs = forward(x, params)
-        pred = 0 if probs[0] >= probs[1] else 1
+        pred = predicted_label(forward(x, params))
         if s.label == 1:
             if pred == 1:
                 tp += 1
@@ -257,7 +253,7 @@ def train(params: FusionModelParams, train_samples: Sequence[ModelSample],
         order = rng.permutation(len(train_samples))
         for batch_idx in _batches(order, cfg.batch_size):
             batch = [train_samples[i] for i in batch_idx]
-            params.zero_grads()
+            zero_grads(params.tensors())
             loss = batch_loss(batch, params, table)
             loss_value = loss.item()
             if not math.isfinite(loss_value):

@@ -52,10 +52,6 @@ def _draw_tieless(rng: np.random.Generator, shape, view_fn: Callable[[np.ndarray
     raise RuntimeError("could not draw a tie-free tensor; widen min_gap or shrink the window")
 
 
-def _check(fn, inputs, eps, tol) -> GradCheckReport:
-    return grad_check(fn, inputs, eps=eps, tol=tol)
-
-
 def _op_trial_factories(rng: np.random.Generator):
     """One (name, trial) pair per differentiable operation.
 
@@ -178,7 +174,7 @@ def run_op_checks(seed: int = 0, trials: int = 20, eps: float = 1e-3,
         worst: Optional[GradCheckReport] = None
         for _ in range(trials):
             fn, inputs = factory()
-            report = _check(fn, inputs, eps, tol)
+            report = grad_check(fn, inputs, eps=eps, tol=tol)
             if worst is None or report.max_rel_err > worst.max_rel_err:
                 worst = report
         results.append((name, worst))

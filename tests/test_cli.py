@@ -1,5 +1,8 @@
 """Command-line surface: wiring, determinism, config merging, exit codes."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,23 @@ class TestMalformedInputsExitNonzero:
                               "--image", str(img), "--text", "hi")
         assert code != 0
         assert "checksum" in stderr
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_overrunning_tensor_table(self, command, zero_checkpoint, dataset, tmp_path,
+                                      capsys):
+        # valid CRC, but the tensor count promises one record more than the file holds
+        body = bytearray(zero_checkpoint.read_bytes()[:-4])
+        count_pos = 7 + 4 + struct.unpack_from("<I", body, 7)[0]
+        (count,) = struct.unpack_from("<I", body, count_pos)
+        body[count_pos:count_pos + 4] = struct.pack("<I", count + 1)
+        bad = tmp_path / "overrun.dfsn"
+        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        args = ["--manifest", str(dataset / "manifest.jsonl")]
+        if command == "predict":
+            args = ["--image", str(dataset / "images" / "a00000.ppm"), "--text", "hi"]
+        code, _, stderr = run(capsys, command, "--checkpoint", str(bad), *args)
+        assert code == 1
+        assert stderr.startswith("error:")
 
 
 class TestReport:

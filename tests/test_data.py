@@ -1,6 +1,9 @@
 """File formats and dataset machinery: manifests, word vectors, PPM,
 checkpoints, filtering, splitting, and the synthetic generator."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -203,6 +206,11 @@ class TestManifestIO:
             load_manifest(path)
 
 
+def with_crc(body) -> bytes:
+    body = bytes(body)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 class TestCheckpoint:
     def make_params(self, seed=0, preset="tiny"):
         return init_model(fusion_preset(preset), seed=seed)
@@ -282,6 +290,49 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         assert loaded.config == params.config
+
+    def test_tensor_count_one_too_high(self, tmp_path):
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=12), path)
+        body = bytearray(path.read_bytes()[:-4])
+        count_pos = 7 + 4 + struct.unpack_from("<I", body, 7)[0]
+        (count,) = struct.unpack_from("<I", body, count_pos)
+        body[count_pos:count_pos + 4] = struct.pack("<I", count + 1)
+        path.write_bytes(with_crc(body))
+        with pytest.raises(CheckpointFormatError, match="overruns"):
+            load_checkpoint(path)
+
+    def test_truncated_after_tensor_name(self, tmp_path):
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=13), path)
+        blob = path.read_bytes()
+        name = b"image.conv2.weight"
+        path.write_bytes(with_crc(blob[:blob.index(name) + len(name)]))
+        with pytest.raises(CheckpointFormatError, match="overruns"):
+            load_checkpoint(path)
+
+    def test_config_block_not_an_object(self, tmp_path):
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=15), path)
+        blob = path.read_bytes()
+        (config_len,) = struct.unpack_from("<I", blob, 7)
+        body = blob[:7] + struct.pack("<I", 2) + b"[]" + blob[11 + config_len:-4]
+        path.write_bytes(with_crc(body))
+        with pytest.raises(CheckpointFormatError, match="bad config block"):
+            load_checkpoint(path)
+
+    def test_load_makes_no_random_draws(self, tmp_path, monkeypatch):
+        params = self.make_params(seed=14)
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(params, path)
+
+        def no_draws(*_):
+            raise AssertionError("random generator created")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = load_checkpoint(path)
+        for name, tensor in params.named_tensors().items():
+            assert np.array_equal(loaded.named_tensors()[name].values, tensor.values)
 
 
 class TestGenSynthetic:

@@ -1,14 +1,16 @@
 """Fusion head: feature concatenation, the FC stack, losses, prediction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from dfsn.autodiff import ShapeError, Tensor, backward
+from dfsn.autodiff import ShapeError, Tensor, backward, zero_grads
 from dfsn.gradcheck import grad_check
 from dfsn.image import ConvLayerSpec, ConvStackConfig
-from dfsn.model import (FusionConfig, ModelSample, batch_loss, empty_model,
-                        forward, fuse, head_logits, init_model, predict,
-                        sample_loss)
+from dfsn.model import (MODALITIES, FusionConfig, ModelSample, batch_loss,
+                        empty_model, forward, fuse, fusion_preset, head_logits,
+                        init_model, predict, sample_loss)
 from dfsn.text import EmbeddingTable, TextConfig
 
 
@@ -35,6 +37,45 @@ def micro_sample(seed=0, label=1):
     image = rng.uniform(-0.5, 0.5, (3, 8, 8))
     tokens = ["red", "green", "blue", "cyan", "magenta"][: int(rng.integers(3, 6))]
     return ModelSample(image=image, tokens=tokens, label=label, id=f"s{seed}")
+
+
+class TestInitAndEmptyModel:
+    # sha256 over (name, float32 bytes) of every tensor, in checkpoint order;
+    # any change to the init draws or their order changes these
+    INIT_SHA256 = {
+        "fused": "e42d76055456751c16c40d7f30d8f6f0a34d6117c93b0c156253b5dda0f90263",
+        "image": "7f7365ce99b0d7a2480d8459bd37e5989473991d272b42b274815561380c68db",
+        "text": "549d6bfad0969958b21674f8467fc1d4235d0f04f0fc25b6f300486ba2f45ec4",
+    }
+
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_init_is_pinned(self, modality):
+        digest = hashlib.sha256()
+        params = init_model(fusion_preset("tiny", modality=modality), seed=0)
+        for name, t in params.named_tensors().items():
+            digest.update(name.encode())
+            digest.update(t.values.tobytes())
+        assert digest.hexdigest() == self.INIT_SHA256[modality]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_empty_is_init_layout_in_zeros(self, modality, dtype):
+        config = fusion_preset("tiny", modality=modality, dtype=dtype)
+        empty = empty_model(config).named_tensors()
+        init = init_model(config, seed=3).named_tensors()
+        assert list(empty) == list(init)
+        for name, t in empty.items():
+            assert t.shape == init[name].shape, name
+            assert t.dtype == init[name].dtype == np.dtype(dtype), name
+            assert t.requires_grad
+            assert not t.values.any(), name
+
+    def test_empty_makes_no_random_draws(self, monkeypatch):
+        def no_draws(*_):
+            raise AssertionError("random generator created")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        empty_model(fusion_preset("tiny"))
 
 
 class TestFuse:
@@ -169,7 +210,7 @@ class TestLosses:
         config = micro_config()
         params = init_model(config, seed=11)
         table = EmbeddingTable(dim=config.text.dim, fallback_seed=0)
-        params.zero_grads()
+        zero_grads(params.tensors())
         backward(sample_loss(micro_sample(seed=3), params, table))
         image_norm = sum(float(np.abs(t.grad).sum())
                          for t in params.image_params.named_tensors().values()

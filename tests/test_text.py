@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dfsn.autodiff import Tensor, backward
+from dfsn.autodiff import Tensor, backward, triple_pool
 from dfsn.gradcheck import grad_check
 from dfsn.text import (EmbeddingTable, TextBranchParams, TextConfig,
-                       embed_sentence, encode_sentence_matrix, encode_text,
+                       embed_sentence, encode_sentence_matrix,
                        init_text_params, oov_vector, text_feature_maps,
-                       text_preset, tokenize, triple_pool)
+                       text_preset, tokenize)
 
 from oracles import text_windows_loops
 
@@ -54,9 +54,6 @@ class TestEmbeddingTable:
     def test_wrong_vector_length_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingTable(dim=3, vectors={"x": np.zeros(4)})
-
-    def test_padding_is_zero(self):
-        assert np.array_equal(EmbeddingTable(dim=5).padding, np.zeros(5))
 
 
 class TestEmbedSentence:
@@ -176,6 +173,12 @@ class TestFeatureMaps:
             assert np.allclose(maps[h].values, expect, atol=1e-6)
 
 
+def _encode(text, table, params):
+    """Tokenize, embed, and run the text branch, as the model does."""
+    sm = embed_sentence(tokenize(text), table, params.config.max_len)
+    return encode_sentence_matrix(sm, params)
+
+
 class TestEncodeText:
     def make(self, filters=1, dim=6, seed=0):
         rng = np.random.default_rng(seed)
@@ -186,24 +189,24 @@ class TestEncodeText:
 
     def test_output_length_three_pools_per_filter(self):
         cfg, params, table = self.make(filters=1)
-        x = encode_text("one two three four five six", table, params)
+        x = _encode("one two three four five six", table, params)
         assert x.shape == (9,)
         assert x.shape[0] == cfg.feature_size
 
     def test_length_constant_across_inputs(self):
         _, params, table = self.make(filters=2)
-        sizes = {encode_text(text, table, params).shape
+        sizes = {_encode(text, table, params).shape
                  for text in ("short one", "a much longer sentence with many words inside it", "x")}
         assert sizes == {(18,)}
 
     def test_permuting_filters_permutes_blocks(self):
         _, params, table = self.make(filters=2, seed=4)
-        x = encode_text("some words to encode here", table, params).values.copy()
+        x = _encode("some words to encode here", table, params).values.copy()
         w3 = params.weights[3].values
         params.weights[3].values[...] = w3[:, ::-1]
         b3 = params.biases[3].values
         params.biases[3].values[...] = b3[::-1]
-        y = encode_text("some words to encode here", table, params).values
+        y = _encode("some words to encode here", table, params).values
         # width-3 filters occupy the first two 3-blocks, swapped as units
         assert np.allclose(y[0:3], x[3:6])
         assert np.allclose(y[3:6], x[0:3])
@@ -211,7 +214,7 @@ class TestEncodeText:
 
     def test_pool_order_max_mean_min(self):
         _, params, table = self.make(filters=2, seed=5)
-        x = encode_text("several tokens for the pooling order check", table, params).values
+        x = _encode("several tokens for the pooling order check", table, params).values
         for block in x.reshape(-1, 3):
             assert block[0] >= block[1] >= block[2]
 

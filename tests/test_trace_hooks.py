@@ -1,0 +1,62 @@
+"""The benchmark's per-layer tracer names real dfsn functions.
+
+``perfbench/tracer.py`` rebinds dfsn functions by name from outside the
+package, so renaming one of them breaks the traced benchmark run
+(``perfbench/run.py --trace 1``) with an AttributeError. These tests load the
+tracer by path and check every name it relies on.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import dfsn.autodiff
+import dfsn.cli  # noqa: F401  (imports every module the tracer wraps)
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load_tracer()
+
+
+@pytest.mark.parametrize("func", sorted(tracer.OP_FUNCS))
+def test_op_funcs_exist_in_autodiff(func):
+    assert callable(getattr(dfsn.autodiff, func))
+
+
+@pytest.mark.parametrize("module, func", tracer.SPAN_FUNCS)
+def test_span_funcs_exist(module, func):
+    assert callable(getattr(importlib.import_module(module), func))
+
+
+def test_make_node_binds_the_wrapped_signature():
+    sig = inspect.signature(dfsn.autodiff._make_node)
+    assert list(sig.parameters) == ["values", "op", "parents", "backward_fn", "out_dtype"]
+    assert sig.parameters["out_dtype"].default is None
+    sig.bind("values", "op", "parents", "backward_fn")
+    sig.bind("values", "op", "parents", "backward_fn", "out_dtype")
+
+
+def test_install_then_uninstall_restores_every_binding():
+    before = {name: getattr(dfsn.autodiff, name) for name in tracer.OP_FUNCS}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.phase = "train"
+        x = dfsn.autodiff.Tensor([-1.0, 2.0], requires_grad=True)
+        dfsn.autodiff.backward(dfsn.autodiff.relu(x).sum())
+        assert t.op_calls[("train", "relu")] == 1
+        assert t.op_bwd[("train", "relu")] > 0.0
+    finally:
+        t.uninstall()
+    assert {name: getattr(dfsn.autodiff, name) for name in tracer.OP_FUNCS} == before

@@ -62,8 +62,6 @@ class TestSchedule:
             TrainConfig(decay_base=1.5)
         with pytest.raises(ValueError):
             TrainConfig(initial_lr=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="adam")
 
 
 class TestSgdStep:
