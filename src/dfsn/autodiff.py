@@ -118,9 +118,6 @@ class Tensor:
             shape = tuple(shape[0])
         return _reshape(self, shape)
 
-    def flatten(self) -> "Tensor":
-        return _reshape(self, (-1,))
-
     def __add__(self, other):
         return _add(self, other)
 
@@ -129,19 +126,10 @@ class Tensor:
     def __sub__(self, other):
         return _sub(self, other)
 
-    def __rsub__(self, other):
-        return _sub(other, self)
-
     def __mul__(self, other):
         return _mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return _mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}, dtype={self.values.dtype}"
@@ -334,6 +322,11 @@ def tanh_op(t: Tensor) -> Tensor:
     return _make_node(y, "tanh", (t,), back)
 
 
+# Before calling BLAS numpy copies a strided operand, such as the text
+# branch's overlapping window view; row blocks keep each copy to a few MB.
+MATMUL_BLOCK_ROWS = 512
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a 2-D ``a`` (m, k) with a 2-D ``b`` (k, n)."""
     if a.ndim != 2 or b.ndim != 2:
@@ -341,10 +334,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ for {a.shape} and {b.shape}")
     av, bv = _f64(a.values), _f64(b.values)
-    vals = av @ bv
+    blocks = [slice(i, i + MATMUL_BLOCK_ROWS)
+              for i in range(0, max(av.shape[0], 1), MATMUL_BLOCK_ROWS)]
+    vals = np.concatenate([av[rows] @ bv for rows in blocks])
 
     def back(g):
-        return (g @ bv.T, av.T @ g)
+        # the text branch's window view is a large constant: skip its gradient
+        ga = g @ bv.T if a.requires_grad else None
+        return (ga, sum(av[rows].T @ g[rows] for rows in blocks))
 
     return _make_node(vals, "matmul", (a, b), back)
 
@@ -397,18 +394,26 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 # -- convolution stack ops ---------------------------------------------------
 
 
+def _check_image_rank(t: Tensor, op: str) -> None:
+    """conv2d, maxpool2d and lrn act on the trailing (C, H, W) axes and carry a
+    leading batch axis through; one image is the batch-free case."""
+    if t.ndim not in (3, 4):
+        raise ShapeError(f"{op} input must be (C, H, W) or (N, C, H, W), got {t.shape}")
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlate a (C_in, H, W) input with (C_out, C_in, kh, kw) kernels.
+    """Cross-correlate a (C_in, H, W) or (N, C_in, H, W) input with
+    (C_out, C_in, kh, kw) kernels.
 
     Output spatial extents follow floor((H + 2*pad - kh) / stride) + 1. The
-    forward lowers to an im2col matrix product; backward produces gradients
-    for the input, the kernels, and the per-output-channel bias.
+    forward lowers the whole batch to one im2col matrix product; backward
+    produces gradients for the input, the kernels, and the per-output-channel
+    bias.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d input must be (C, H, W), got {x.shape}")
+    _check_image_rank(x, "conv2d")
     if kernels.ndim != 4:
         raise ShapeError(f"conv2d kernels must be (C_out, C_in, kh, kw), got {kernels.shape}")
-    c_in, h, w = x.shape
+    c_in, h, w = x.shape[-3:]
     c_out, kc, kh, kw = kernels.shape
     if kc != c_in:
         raise ShapeError(f"conv2d: input has {c_in} channels but kernels expect {kc}")
@@ -422,88 +427,90 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
         raise ShapeError(
             f"conv2d: kernel ({kh}, {kw}) exceeds padded input ({h + 2 * pad}, {w + 2 * pad})")
 
-    xp = _f64(x.values)
-    if pad:
-        xp = np.pad(xp, ((0, 0), (pad, pad), (pad, pad)))
+    n = x.values.size // (c_in * h * w)
+    xp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x.values.reshape(n, c_in, h, w)
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(ho * wo, c_in * kh * kw)
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c_in * kh * kw)
     kmat = _f64(kernels.values).reshape(c_out, -1)
     out = cols @ kmat.T + _f64(bias.values)[None, :]
-    vals = out.T.reshape(c_out, ho, wo)
+    vals = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2).reshape(
+        x.shape[:-3] + (c_out, ho, wo))
     cols = np.ascontiguousarray(cols)
 
     def back(g):
-        gmat = g.transpose(1, 2, 0).reshape(ho * wo, c_out)
+        gmat = g.reshape(n, c_out, ho, wo).transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
         dk = (gmat.T @ cols).reshape(c_out, c_in, kh, kw)
         db = gmat.sum(axis=0)
-        dcols = (gmat @ kmat).reshape(ho, wo, c_in, kh, kw)
-        dxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
+        dcols = (gmat @ kmat).reshape(n, ho, wo, c_in, kh, kw)
+        dxp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad))
         for i in range(kh):
             rows = slice(i, i + stride * (ho - 1) + 1, stride)
             for j in range(kw):
                 cols_sl = slice(j, j + stride * (wo - 1) + 1, stride)
-                dxp[:, rows, cols_sl] += dcols[:, :, :, i, j].transpose(2, 0, 1)
-        dx = dxp[:, pad:pad + h, pad:pad + w] if pad else dxp
-        return (dx, dk, db)
+                dxp[:, :, rows, cols_sl] += dcols[..., i, j].transpose(0, 3, 1, 2)
+        dx = dxp[:, :, pad:pad + h, pad:pad + w]
+        return (dx.reshape(x.shape), dk, db)
 
     return _make_node(vals, "conv2d", (x, kernels, bias), back)
 
 
 def maxpool2d(t: Tensor, window: int, stride: int) -> Tensor:
-    """Per-window maximum over a (C, H, W) tensor.
+    """Per-window maximum over a (C, H, W) or (N, C, H, W) tensor.
 
     Gradient routes to the first (row-major) argmax inside each window, which
     keeps backward deterministic under ties.
     """
-    if t.ndim != 3:
-        raise ShapeError(f"maxpool2d input must be (C, H, W), got {t.shape}")
+    _check_image_rank(t, "maxpool2d")
     if window < 1 or stride < 1:
         raise ShapeError(f"maxpool2d: window and stride must be positive, got {window}, {stride}")
-    c, h, w = t.shape
+    h, w = t.shape[-2:]
     if h < window or w < window:
         raise ShapeError(f"maxpool2d: window {window} exceeds input ({h}, {w})")
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
-    v = _f64(t.values)
+    # pooling never mixes (H, W) planes, so batch and channel axes fold into one
+    v = _f64(t.values).reshape(-1, h, w)
+    planes = v.shape[0]
     win = sliding_window_view(v, (window, window), axis=(1, 2))[:, ::stride, ::stride]
-    flat = win.reshape(c, ho, wo, window * window)
+    flat = win.reshape(planes, ho, wo, window * window)
     arg = flat.argmax(axis=3)
     _record_switch(arg.astype(np.int32))
     vals = np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
 
     def back(g):
-        dx = np.zeros((c, h, w))
-        ci = np.arange(c)[:, None, None]
+        dx = np.zeros((planes, h, w))
+        pi = np.arange(planes)[:, None, None]
         ri = np.arange(ho)[None, :, None] * stride + arg // window
         cj = np.arange(wo)[None, None, :] * stride + arg % window
-        np.add.at(dx, (np.broadcast_to(ci, arg.shape), ri, cj), g)
-        return (dx,)
+        np.add.at(dx, (np.broadcast_to(pi, arg.shape), ri, cj), g.reshape(arg.shape))
+        return (dx.reshape(t.shape),)
 
-    return _make_node(vals, "maxpool2d", (t,), back)
+    return _make_node(vals.reshape(t.shape[:-2] + (ho, wo)), "maxpool2d", (t,), back)
 
 
 def lrn(t: Tensor, depth_radius: int = 2, k: float = 2.0,
         alpha: float = 1e-4, beta: float = 0.75) -> Tensor:
-    """Local response normalization across channels of a (C, H, W) tensor.
+    """Local response normalization across the channels of a (C, H, W) or
+    (N, C, H, W) tensor.
 
     b_c = a_c / (k + alpha * sum_{c' in [c-r, c+r]} a_{c'}^2) ** beta, with the
     channel window clipped at the tensor edges.
     """
-    if t.ndim != 3:
-        raise ShapeError(f"lrn input must be (C, H, W), got {t.shape}")
+    _check_image_rank(t, "lrn")
     if k <= 0:
         raise ValueError(f"lrn: k must be positive to keep the denominator bounded, got {k}")
     if depth_radius < 0:
         raise ValueError(f"lrn: depth_radius must be nonnegative, got {depth_radius}")
     v = _f64(t.values)
-    c = v.shape[0]
+    c = v.shape[-3]
     sq = v * v
     denom = np.full_like(v, float(k))
     for off in range(-depth_radius, depth_radius + 1):
         lo, hi = max(0, -off), min(c, c - off)
-        denom[lo:hi] += alpha * sq[lo + off:hi + off]
+        denom[..., lo:hi, :, :] += alpha * sq[..., lo + off:hi + off, :, :]
     scale = denom ** (-beta)
     vals = v * scale
 
@@ -512,7 +519,7 @@ def lrn(t: Tensor, depth_radius: int = 2, k: float = 2.0,
         acc = np.zeros_like(v)
         for off in range(-depth_radius, depth_radius + 1):
             lo, hi = max(0, -off), min(c, c - off)
-            acc[lo:hi] += inner[lo + off:hi + off]
+            acc[..., lo:hi, :, :] += inner[..., lo + off:hi + off, :, :]
         return (g * scale - 2.0 * alpha * beta * v * acc,)
 
     return _make_node(vals, "lrn", (t,), back)
@@ -528,67 +535,87 @@ def triple_pool(c: Tensor) -> Tensor:
     return triple_pool_columns(c.reshape(-1, 1)).reshape(3)
 
 
-def triple_pool_columns(t: Tensor) -> Tensor:
-    """Pool each column of an (L, F) matrix into a row [max, mean, min].
+def triple_pool_columns(t: Tensor, starts: Sequence[int] = (0,),
+                        counts: Optional[Sequence[int]] = None) -> Tensor:
+    """Pool each column of each row segment of an (L, F) matrix into
+    [max, mean, min].
 
-    Returns an (F, 3) tensor; max and min gradients route to the first
-    occurrence along the column, mean spreads uniformly.
+    Segment s holds ``counts[s]`` rows from row ``starts[s]``; without
+    ``counts`` each segment runs to the next start (the last one to L), so the
+    default pools the whole matrix. Rows outside every segment are ignored.
+    Returns an (S, F, 3) tensor. Max and min gradients route to the first
+    occurrence within the segment's column, mean spreads uniformly over it.
     """
     if t.ndim != 2:
         raise ShapeError(f"triple_pool_columns needs an (L, F) matrix, got {t.shape}")
     ln, f = t.shape
-    if ln == 0:
-        raise ShapeError("triple_pool of an empty feature map")
-    v = _f64(t.values)
-    amax = v.argmax(axis=0)
-    amin = v.argmin(axis=0)
+    starts = np.asarray(starts, dtype=np.intp)
+    counts = np.diff(np.append(starts, ln)) if counts is None else np.asarray(counts, np.intp)
+    ends = starts + counts
+    if starts[0] < 0 or (counts < 1).any() or (starts[1:] < ends[:-1]).any() or ends[-1] > ln:
+        raise ShapeError(f"triple_pool_columns: segment starts {starts.tolist()} and counts "
+                         f"{counts.tolist()} must give ordered, nonempty rows of {ln}")
+    # the pooled rows, segment after segment; segment s begins at first[s]
+    first = np.cumsum(counts) - counts
+    rows = np.repeat(starts - first, counts) + np.arange(counts.sum())
+    v = _f64(t.values)[rows]
+    mx = np.maximum.reduceat(v, first, axis=0)
+    mn = np.minimum.reduceat(v, first, axis=0)
+    # the first occurrence is the smallest row index holding the extremum (a
+    # NaN column holds none and falls back to the last row)
+    at, last = np.arange(len(rows))[:, None], len(rows) - 1
+    amax = rows[np.minimum.reduceat(np.where(v == np.repeat(mx, counts, axis=0), at, last),
+                                    first, axis=0)]
+    amin = rows[np.minimum.reduceat(np.where(v == np.repeat(mn, counts, axis=0), at, last),
+                                    first, axis=0)]
     _record_switch(np.stack([amax, amin]).astype(np.int32))
-    mx = v.max(axis=0)
-    mn = v.min(axis=0)
     # constant columns pool to the shared value exactly; sum/L would round
-    mean = np.where(mx == mn, mx, v.mean(axis=0))
-    vals = np.stack([mx, mean, mn], axis=1)
+    mean = np.where(mx == mn, mx, np.add.reduceat(v, first, axis=0) / counts[:, None])
+    vals = np.stack([mx, mean, mn], axis=2)
 
     def back(g):
         d = np.zeros((ln, f))
         cols = np.arange(f)
-        np.add.at(d, (amax, cols), g[:, 0])
-        d += g[:, 1][None, :] / ln
-        np.add.at(d, (amin, cols), g[:, 2])
+        np.add.at(d, (amax, cols), g[..., 0])
+        d[rows] += np.repeat(g[..., 1] / counts[:, None], counts, axis=0)
+        np.add.at(d, (amin, cols), g[..., 2])
         return (d,)
 
     return _make_node(vals, "triple_pool", (t,), back)
 
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax of a 1-D array computed with max subtraction, in float64."""
+    """Softmax along the last axis, computed with max subtraction, in float64."""
     z = _f64(np.asarray(logits))
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Cross-entropy of a 1-D logit vector against an integer class label.
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean cross-entropy of (N, K) logits against N integer class labels.
 
-    Computed as logsumexp(logits) - logits[label] after max subtraction;
-    backward yields softmax(logits) minus the one-hot label vector.
+    A 1-D logit vector with one integer label is the batch-free case. Each row
+    is logsumexp(row) - row[label] after max subtraction; backward yields
+    softmax(logits) minus the one-hot labels, divided by N.
     """
-    if logits.ndim != 1:
-        raise ShapeError(f"softmax_cross_entropy needs 1-D logits, got {logits.shape}")
-    n = logits.shape[0]
-    label = int(label)
-    if not 0 <= label < n:
-        raise IndexError(f"label {label} out of range for {n} classes")
+    if logits.ndim == 0:
+        raise ShapeError("softmax_cross_entropy needs at least 1-D logits")
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"softmax_cross_entropy: labels shape {labels.shape} does not "
+                         f"match logits shape {logits.shape}")
+    n = logits.shape[-1]
+    if ((labels < 0) | (labels >= n)).any():
+        raise IndexError(f"labels {labels.tolist()} out of range for {n} classes")
     z = _f64(logits.values)
-    m = z.max()
-    shifted = z - m
-    lse = np.log(np.exp(shifted).sum())
-    vals = np.asarray(lse - shifted[label])
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    losses = lse - np.take_along_axis(shifted, labels[..., None], axis=-1)
+    vals = np.asarray(losses.mean())
 
     def back(g):
-        p = np.exp(shifted - lse)
-        p[label] -= 1.0
-        return (float(g) * p,)
+        p = np.exp(shifted - lse) - (labels[..., None] == np.arange(n))
+        return (float(g) / losses.size * p,)
 
     return _make_node(vals, "softmax_cross_entropy", (logits,), back)

@@ -87,11 +87,13 @@ def load_manifest(path) -> Manifest:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(rec, dict):
+                raise ManifestError(f"{path}: line {lineno}: not a JSON object ({type(rec).__name__})")
             for key in ("id", "image", "text", "label"):
                 if key not in rec:
                     raise ManifestError(f"{path}: line {lineno}: missing key {key!r}")
             label = rec["label"]
-            if label not in (0, 1):
+            if type(label) is not int or label not in (0, 1):  # bool is an int subclass
                 raise ManifestError(f"{path}: line {lineno}: label must be 0 or 1, got {label!r}")
             samples.append(Sample(id=str(rec["id"]), image_path=str(rec["image"]),
                                   text=str(rec["text"]), label=int(label)))
@@ -236,7 +238,8 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(params: FusionModelParams, path) -> None:
     """Write a versioned binary checkpoint (f32 payloads, CRC32 at the end).
 
-    The write goes through a temporary file and an atomic rename. Round
+    The write goes through a temporary file, synced to disk before an atomic
+    rename, so a crash leaves either the old file or the new one. Round
     trips are bit-exact for float32 parameter tensors; float64 tensors are
     stored at float32 precision.
     """
@@ -261,6 +264,8 @@ def save_checkpoint(params: FusionModelParams, path) -> None:
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(bytes(blob))
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -316,6 +321,8 @@ def load_checkpoint(path) -> FusionModelParams:
                 raise CheckpointFormatError(
                     f"{path}: tensor {name!r} has shape {shape}, config implies {target.shape}")
             values = np.frombuffer(take(4 * target.numel), dtype="<f4").reshape(shape)
+            if not np.isfinite(values).all():
+                raise CheckpointFormatError(f"{path}: tensor {name!r} holds non-finite values")
             target.values[...] = values.astype(target.values.dtype)
             seen.add(name)
     except (struct.error, UnicodeDecodeError) as exc:

@@ -201,17 +201,18 @@ def init_image_params(config: ConvStackConfig, rng: np.random.Generator,
 
 
 def encode_image(img, params: ImageBranchParams, config: Optional[ConvStackConfig] = None) -> Tensor:
-    """Run the stack and flatten the final pooling output to one dimension.
+    """Run the stack and flatten each image's final pooling output.
 
-    ``img`` is a (3, S, S) array or tensor. Shape mismatches raise with the
-    offending layer named.
+    ``img`` is a (3, S, S) image or an (N, 3, S, S) batch, as an array or a
+    tensor; the result is (features,) or (N, features). Shape mismatches raise
+    with the offending layer named.
     """
     cfg = config or params.config
     x = img if isinstance(img, Tensor) else Tensor(img)
-    if x.shape != (cfg.in_channels, cfg.input_side, cfg.input_side):
+    if x.ndim not in (3, 4) or x.shape[-3:] != (cfg.in_channels, cfg.input_side, cfg.input_side):
         raise ShapeError(
             f"input shape {x.shape} != expected "
-            f"({cfg.in_channels}, {cfg.input_side}, {cfg.input_side})")
+            f"([N,] {cfg.in_channels}, {cfg.input_side}, {cfg.input_side})")
     c_in = cfg.in_channels
     for i, spec in enumerate(cfg.layers, start=1):
         kern = params.kernels[i - 1]
@@ -228,4 +229,4 @@ def encode_image(img, params: ImageBranchParams, config: Optional[ConvStackConfi
         except ShapeError as exc:
             raise ShapeError(f"layer {i}: {exc}") from None
         c_in = spec.out_channels
-    return x.flatten()
+    return x.reshape(x.shape[:-3] + (-1,))

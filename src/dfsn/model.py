@@ -8,7 +8,7 @@ which is how the image-only and text-only baselines are trained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -137,29 +137,26 @@ def _build_model(config: FusionConfig, rng) -> FusionModelParams:
 
 
 def fuse(x_i: Tensor, x_t: Tensor) -> Tensor:
-    """Concatenate the image feature block before the text feature block."""
-    if x_i.ndim != 1 or x_t.ndim != 1:
-        raise ShapeError(f"fuse needs 1-D features, got {x_i.shape} and {x_t.shape}")
-    if x_i.shape[0] == 0 or x_t.shape[0] == 0:
+    """Concatenate the image feature block before the text feature block of each row."""
+    if x_i.shape[-1] == 0 or x_t.shape[-1] == 0:
         raise ShapeError("fuse: both modalities are mandatory, got an empty feature vector")
-    return concat([x_i, x_t], axis=0)
+    return concat([x_i, x_t], axis=-1)
 
 
 def head_logits(x: Tensor, params: FusionModelParams) -> Tensor:
-    """Three fully-connected layers with ReLU between; returns the 2 raw logits."""
-    if x.ndim != 1:
-        raise ShapeError(f"head input must be 1-D, got {x.shape}")
-    h = x.reshape(1, -1)
+    """Three fully-connected layers with ReLU between; (N, features) in, (N, 2)
+    raw logits out."""
+    h = x
     last = len(params.fc_weights) - 1
     for i, (w, b) in enumerate(zip(params.fc_weights, params.fc_biases)):
         h = bias_add(matmul(h, w), b)
         if i < last:
             h = relu(h)
-    return h.reshape(-1)
+    return h
 
 
 def forward(x: Tensor, params: FusionModelParams) -> np.ndarray:
-    """Class distribution [p_neg, p_pos] for an already-fused feature vector."""
+    """Class distributions [p_neg, p_pos], one row per row of fused features."""
     return stable_softmax(head_logits(x, params).values)
 
 
@@ -173,45 +170,39 @@ class ModelSample:
     id: str = ""
 
 
-def encode_inputs(image, tokens, params: FusionModelParams,
+def encode_inputs(images: Sequence, token_lists: Sequence, params: FusionModelParams,
                   table: Optional[EmbeddingTable]) -> Tensor:
-    """Branch features for whatever modalities the model uses, fused if both."""
+    """(N, fused_size) branch features of a batch, fused if the model uses both.
+
+    ``images`` and ``token_lists`` hold one entry per sample; entries of a
+    modality the model ignores may be None.
+    """
     cfg = params.config
-    x_i = None
-    x_t = None
+    parts = []
     if cfg.modality in ("fused", "image"):
-        if image is None:
+        if any(img is None for img in images):
             raise ValueError("model needs an image input")
-        x_i = encode_image(image, params.image_params, cfg.image)
+        parts.append(encode_image(np.stack(images), params.image_params, cfg.image))
     if cfg.modality in ("fused", "text"):
-        if tokens is None:
+        if any(tokens is None for tokens in token_lists):
             raise ValueError("model needs a text input")
         if table is None:
             raise ValueError("text encoding needs an embedding table")
-        sm = embed_sentence(tokens, table, cfg.text.max_len)
-        x_t = encode_sentence_matrix(sm, params.text_params)
-    if cfg.modality == "fused":
-        return fuse(x_i, x_t)
-    return x_i if cfg.modality == "image" else x_t
-
-
-def sample_loss(sample: ModelSample, params: FusionModelParams,
-                table: Optional[EmbeddingTable]) -> Tensor:
-    """Cross-entropy of the full pipeline on one sample."""
-    if sample.label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {sample.label}")
-    x = encode_inputs(sample.image, sample.tokens, params, table)
-    logits = head_logits(x, params)
-    return softmax_cross_entropy(logits, sample.label)
+        sms = [embed_sentence(tokens, table, cfg.text.max_len) for tokens in token_lists]
+        parts.append(encode_sentence_matrix(sms, params.text_params))
+    return fuse(*parts) if cfg.modality == "fused" else parts[0]
 
 
 def batch_loss(batch: Sequence[ModelSample], params: FusionModelParams,
                table: Optional[EmbeddingTable]) -> Tensor:
-    """Arithmetic mean of the per-sample losses."""
+    """Mean cross-entropy of the full pipeline over a batch, as one graph."""
     if len(batch) == 0:
         raise ValueError("batch_loss of an empty batch")
-    losses = [sample_loss(s, params, table).reshape(1) for s in batch]
-    return concat(losses, axis=0).mean()
+    labels = [s.label for s in batch]
+    if any(label not in (0, 1) for label in labels):
+        raise ValueError(f"labels must be 0 or 1, got {labels}")
+    x = encode_inputs([s.image for s in batch], [s.tokens for s in batch], params, table)
+    return softmax_cross_entropy(head_logits(x, params), labels)
 
 
 @dataclass
@@ -221,14 +212,15 @@ class Prediction:
     p_pos: float
 
 
-def predicted_label(probs: np.ndarray) -> int:
-    """Argmax of a [p_neg, p_pos] distribution; ties go to label 0."""
-    return 0 if probs[0] >= probs[1] else 1
+def predicted_label(probs: np.ndarray) -> np.ndarray:
+    """Argmax of each [p_neg, p_pos] row; ties go to label 0."""
+    return np.where(probs[..., 0] >= probs[..., 1], 0, 1)
 
 
 def predict(image, text, params: FusionModelParams,
             table: Optional[EmbeddingTable]) -> Prediction:
-    """Classify one raw (H, W, 3) image / text pair; ties go to label 0.
+    """Classify one raw (H, W, 3) image / text pair as a batch of one; ties go
+    to label 0.
 
     ``image`` is decoded pixels (preprocessing happens here); ``text`` may be
     a raw string or a token list. Inputs the model's modality ignores may be
@@ -241,9 +233,8 @@ def predict(image, text, params: FusionModelParams,
     tokens = None
     if cfg.modality in ("fused", "text"):
         tokens = tokenize(text) if isinstance(text, str) else list(text)
-    x = encode_inputs(img, tokens, params, table)
-    probs = forward(x, params)
-    return Prediction(label=predicted_label(probs), p_neg=float(probs[0]),
+    probs = forward(encode_inputs([img], [tokens], params, table), params)[0]
+    return Prediction(label=int(predicted_label(probs)), p_neg=float(probs[0]),
                       p_pos=float(probs[1]))
 
 
@@ -251,28 +242,8 @@ def predict(image, text, params: FusionModelParams,
 
 
 def config_to_dict(config: FusionConfig) -> dict:
-    d: dict = {"modality": config.modality, "dtype": config.dtype,
-               "hidden1": config.hidden1, "hidden2": config.hidden2}
-    if config.image is not None:
-        d["image"] = {
-            "input_side": config.image.input_side,
-            "in_channels": config.image.in_channels,
-            "preset": config.image.preset,
-            "layers": [
-                {"out_channels": s.out_channels, "kernel": s.kernel, "stride": s.stride,
-                 "pad": s.pad, "has_lrn": s.has_lrn, "pool_window": s.pool_window,
-                 "pool_stride": s.pool_stride}
-                for s in config.image.layers
-            ],
-        }
-    if config.text is not None:
-        d["text"] = {
-            "dim": config.text.dim, "max_len": config.text.max_len,
-            "widths": list(config.text.widths),
-            "filters_per_width": config.text.filters_per_width,
-            "nonlinearity": config.text.nonlinearity,
-        }
-    return d
+    """Every config field, nested configs as dicts; an absent branch is left out."""
+    return {key: value for key, value in asdict(config).items() if value is not None}
 
 
 def config_from_dict(d: dict) -> FusionConfig:

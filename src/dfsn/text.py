@@ -139,6 +139,8 @@ class TextConfig:
             raise ValueError("filter widths must be positive")
         if tuple(sorted(self.widths)) != tuple(self.widths):
             raise ValueError("filter widths must be ascending")
+        if self.max_len < self.widths[-1]:
+            raise ValueError("max_len must hold one window of the widest filter")
         if self.nonlinearity not in ("tanh", "identity"):
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
 
@@ -191,55 +193,45 @@ def init_text_params(config: TextConfig, rng: np.random.Generator,
     return params
 
 
-def _nonlinearity(name: str):
-    if name == "tanh":
-        return tanh_op
-    return lambda t: t
+def _filter_map(tokens: np.ndarray, h: int, params: TextBranchParams) -> Tensor:
+    """f(w . window + b) for every filter (columns) and every h-row window of
+    ``tokens`` (rows). The windows are a strided view, so none is copied.
+    Differentiable with respect to the filter weights and biases only."""
+    windows = sliding_window_view(tokens, (h, tokens.shape[1])).reshape(-1, h * tokens.shape[1])
+    pre = bias_add(matmul(Tensor(windows), params.weights[h]), params.biases[h])
+    return tanh_op(pre) if params.config.nonlinearity == "tanh" else pre
 
 
-def _window_matrix(sm: SentenceMatrix, h: int) -> np.ndarray:
-    """Rows are the h-word windows the filters slide over.
+def text_feature_maps(sm: SentenceMatrix, params: TextBranchParams) -> dict[int, Tensor]:
+    """Per-width feature maps of one sentence, shape (n - h + 1, F) for width h.
 
     Windows cover the true length only; a sentence shorter than h contributes
     a single window over the zero-padded matrix so no width ever goes empty.
     """
-    if sm.n >= h:
-        span = sm.matrix[:sm.n]
-        win = sliding_window_view(span, (h, sm.dim))
-        return win.reshape(sm.n - h + 1, h * sm.dim)
-    return sm.matrix[:h].reshape(1, h * sm.dim)
+    return {h: _filter_map(sm.matrix[:max(sm.n, h)], h, params) for h in params.config.widths}
 
 
-def text_feature_maps(sm: SentenceMatrix, params: TextBranchParams) -> dict[int, Tensor]:
-    """Per-width feature maps, one column per filter.
+def encode_sentence_matrix(sms: Sequence[SentenceMatrix], params: TextBranchParams) -> Tensor:
+    """Text branch from a batch of embedded sentences to an (N, features) tensor.
 
-    For width h the result has shape (n - h + 1, F): row i holds
-    f(w . window_i + b) for every filter. Differentiable with respect to the
-    filter weights and biases; the sentence matrix itself stays frozen.
+    Each row has 3 * filters_per_width * len(widths) features, laid out
+    width-ascending then filter-index-ascending, each filter contributing
+    its [max, mean, min] block. Each width runs its filters once over all
+    windows of the stacked sentence rows; a sentence pools only its own
+    windows (those ``text_feature_maps`` gives it), never one that straddles
+    two sentences or reaches past a short sentence's single padded window.
     """
     cfg = params.config
-    act = _nonlinearity(cfg.nonlinearity)
-    maps = {}
-    for h in cfg.widths:
-        windows = Tensor(_window_matrix(sm, h))
-        pre = bias_add(matmul(windows, params.weights[h]), params.biases[h])
-        maps[h] = act(pre)
-    return maps
-
-
-def encode_sentence_matrix(sm: SentenceMatrix, params: TextBranchParams) -> Tensor:
-    """Text branch from an embedded sentence to the pooled features of every filter.
-
-    Output length is 3 * filters_per_width * len(widths), laid out
-    width-ascending then filter-index-ascending, each filter contributing
-    its [max, mean, min] block.
-    """
-    if sm.dim != params.config.dim:
-        raise ShapeError(
-            f"sentence matrix dim {sm.dim} != text branch dim {params.config.dim}")
-    maps = text_feature_maps(sm, params)
+    if any(sm.dim != cfg.dim for sm in sms):
+        raise ShapeError(f"sentence matrix dims {sorted({sm.dim for sm in sms})} != "
+                         f"text branch dim {cfg.dim}")
+    spans = np.array([max(sm.n, cfg.widths[-1]) for sm in sms])
+    tokens = np.concatenate([sm.matrix[:span] for sm, span in zip(sms, spans)])
+    starts = np.cumsum(spans) - spans
+    lengths = np.array([sm.n for sm in sms])
     blocks = []
-    for h in params.config.widths:
-        pooled = triple_pool_columns(maps[h])  # (F, 3)
-        blocks.append(pooled.reshape(-1))
-    return concat(blocks, axis=0) if len(blocks) > 1 else blocks[0]
+    for h in cfg.widths:
+        counts = np.maximum(lengths, h) - h + 1
+        pooled = triple_pool_columns(_filter_map(tokens, h, params), starts, counts)  # (N, F, 3)
+        blocks.append(pooled.reshape(len(sms), -1))
+    return concat(blocks, axis=1)

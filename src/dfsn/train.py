@@ -130,25 +130,32 @@ class MetricsReport:
                 f"{self.f1:.3f} {self.accuracy:.3f}")
 
 
+# evaluate runs the samples through the batched forward pass in chunks. A
+# chunk's graph keeps its im2col buffers alive until its logits are read, so
+# a chunk holds at most EVAL_CHUNK samples and EVAL_CHUNK_PIXELS input pixels:
+# 32 tiny (16 px) images, or one full (224 px) image.
+EVAL_CHUNK = 32
+EVAL_CHUNK_PIXELS = EVAL_CHUNK * 16 * 16
+
+
 def evaluate(params: FusionModelParams, samples: Sequence[ModelSample],
              table: Optional[EmbeddingTable]) -> MetricsReport:
     """Confusion counts of argmax predictions over a materialized dataset."""
     if len(samples) == 0:
         raise ValueError("evaluate needs a nonempty dataset")
-    tp = fp = fn = tn = 0
-    for s in samples:
-        x = encode_inputs(s.image, s.tokens, params, table)
-        pred = predicted_label(forward(x, params))
-        if s.label == 1:
-            if pred == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == 1:
-                fp += 1
-            else:
-                tn += 1
+    chunk = EVAL_CHUNK
+    if params.config.modality != "text":
+        chunk = max(1, min(chunk, EVAL_CHUNK_PIXELS // params.config.image.input_side ** 2))
+    preds = []
+    for start in range(0, len(samples), chunk):
+        part = samples[start:start + chunk]
+        x = encode_inputs([s.image for s in part], [s.tokens for s in part], params, table)
+        preds.append(predicted_label(forward(x, params)))
+        del x  # frees this chunk's graph before the next chunk builds its own
+    # bin 2 * label + prediction counts tn, fp, fn, tp in that order; any
+    # label other than 1 counts as negative
+    codes = 2 * (np.array([s.label for s in samples]) == 1) + np.concatenate(preds)
+    tn, fp, fn, tp = np.bincount(codes, minlength=4).tolist()
     return MetricsReport(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
@@ -259,6 +266,7 @@ def train(params: FusionModelParams, train_samples: Sequence[ModelSample],
             if not math.isfinite(loss_value):
                 raise TrainingError(f"non-finite loss {loss_value} at step {step}")
             backward(loss)
+            del loss  # frees this step's graph before the next step builds its own
             lr = lr_at_step(step, cfg)
             apply_gradients(params, lr)
             history.steps.append(StepRecord(step=step, lr=lr, loss=loss_value))

@@ -17,7 +17,7 @@ from .autodiff import (Tensor, bias_add, concat, conv2d, lrn, matmul,
                        maxpool2d, relu, softmax_cross_entropy, tanh_op,
                        triple_pool, triple_pool_columns)
 from .gradcheck import GradCheckReport, grad_check
-from .model import FusionConfig, init_model, sample_loss, ModelSample
+from .model import FusionConfig, ModelSample, batch_loss, init_model
 from .text import EmbeddingTable
 from . import model as model_mod
 
@@ -128,9 +128,10 @@ def _op_trial_factories(rng: np.random.Generator):
             v = _draw_tieless(rng, (7,), lambda a: a.reshape(1, -1))
             t = Tensor(v, requires_grad=True)
             return scalarize(triple_pool), [t]
-        v = _draw_tieless(rng, (5, 4), lambda a: a.T)
+        # two equal-length row segments, each pooled per column
+        v = _draw_tieless(rng, (10, 4), lambda a: a.reshape(2, 5, 4).transpose(0, 2, 1))
         t = Tensor(v, requires_grad=True)
-        return scalarize(triple_pool_columns), [t]
+        return scalarize(lambda t_: triple_pool_columns(t_, (0, 5))), [t]
 
     def softmax_ce_trial():
         label = int(rng.integers(0, 4))
@@ -212,7 +213,7 @@ def run_model_check(seed: int = 0, eps: float = 1e-3, tol: float = 1e-4,
     tensors = params.tensors()
 
     def fn(*_):
-        return sample_loss(sample, params, table)
+        return batch_loss([sample], params, table)
 
     return grad_check(fn, tensors, eps=eps, tol=tol, sample=sample_per_tensor,
                       rng=rng, smooth_only=True)

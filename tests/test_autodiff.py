@@ -184,6 +184,27 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(IndexError):
             softmax_cross_entropy(Tensor([0.0, 0.0]), -1)
 
+    def test_batch_is_mean_of_rows(self):
+        logits = np.array([[0.5, -1.0, 0.2], [2.0, 0.0, -0.4], [0.0, 0.3, 0.1]])
+        labels = [1, 0, 2]
+        batch = Tensor(logits, requires_grad=True)
+        softmax_cross_entropy(batch, labels).backward()
+        rows = []
+        for row, label, grad in zip(logits, labels, batch.grad):
+            single = Tensor(row, requires_grad=True)
+            loss = softmax_cross_entropy(single, label)
+            loss.backward()
+            rows.append(loss.item())
+            assert np.allclose(grad, single.grad / len(labels), rtol=1e-12, atol=0)
+        batch_loss = softmax_cross_entropy(Tensor(logits), labels).item()
+        assert batch_loss == pytest.approx(np.mean(rows), rel=1e-12)
+
+    def test_label_vector_must_match_rows(self):
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy(Tensor(np.zeros((3, 2))), [0, 1])
+        with pytest.raises(IndexError):
+            softmax_cross_entropy(Tensor(np.zeros((2, 2))), [0, 2])
+
     def test_large_logits_stay_finite(self):
         loss = softmax_cross_entropy(Tensor([1000.0, -1000.0]), 1)
         assert np.isfinite(loss.item())

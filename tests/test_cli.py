@@ -162,6 +162,29 @@ class TestMalformedInputsExitNonzero:
         assert stderr.startswith("error:")
 
 
+    def test_manifest_line_not_an_object(self, tmp_path, capsys):
+        manifest = tmp_path / "five.jsonl"
+        manifest.write_text("5\n")
+        code, _, stderr = run(capsys, "train", "--manifest", str(manifest),
+                              "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert stderr.startswith("error:")
+
+    def test_non_finite_checkpoint_payload(self, zero_checkpoint, dataset, tmp_path, capsys):
+        body = bytearray(zero_checkpoint.read_bytes()[:-4])
+        name = b"fc1.weight"
+        first = body.index(name) + len(name) + 1 + 2 * 4
+        body[first:first + 4] = struct.pack("<f", np.nan)
+        bad = tmp_path / "nan.dfsn"
+        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        code, stdout, stderr = run(capsys, "predict", "--checkpoint", str(bad),
+                                   "--image", str(dataset / "images" / "a00000.ppm"),
+                                   "--text", "hi")
+        assert code == 1
+        assert stdout == ""
+        assert "fc1.weight" in stderr
+
+
 class TestReport:
     def test_renders_markdown(self, tmp_path, capsys):
         history = tmp_path / "history.csv"

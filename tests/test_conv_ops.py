@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from dfsn.autodiff import ShapeError, Tensor, conv2d, lrn, maxpool2d, triple_pool
+from dfsn.autodiff import (ShapeError, Tensor, conv2d, lrn, maxpool2d, triple_pool,
+                           triple_pool_columns)
+from dfsn.gradcheck import grad_check
 
 from oracles import conv2d_loops, lrn_loops, maxpool2d_loops
 
@@ -192,3 +194,106 @@ class TestTriplePool:
         (triple_pool(t) * Tensor([1.0, 3.0, 5.0])).sum().backward()
         # max -> index 2, mean spreads 3/3 everywhere, min -> index 0
         assert np.allclose(t.grad, [1.0 + 5.0, 1.0, 1.0 + 1.0])
+
+
+class TestBatchedShapes:
+    """An (N, C, H, W) batch gives, item by item, what the loop oracles give
+    for each (C, H, W) item alone."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
+    def test_conv2d_matches_oracle_per_item(self, n, stride, pad):
+        rng = np.random.default_rng(100 + 10 * stride + pad + n)
+        x = rng.uniform(-1, 1, (n, 2, 6, 5))
+        k = rng.uniform(-1, 1, (3, 2, 3, 3))
+        b = rng.uniform(-1, 1, 3)
+        out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, pad=pad)
+        expect = np.stack([conv2d_loops(item, k, b, stride=stride, pad=pad) for item in x])
+        assert out.shape == expect.shape
+        assert np.allclose(out.values, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("window,stride", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_maxpool2d_matches_oracle_per_item(self, n, window, stride):
+        rng = np.random.default_rng(200 + 10 * window + stride + n)
+        x = rng.uniform(-1, 1, (n, 3, 6, 7))
+        out = maxpool2d(Tensor(x), window, stride)
+        expect = np.stack([maxpool2d_loops(item, window, stride) for item in x])
+        assert out.shape == expect.shape
+        assert np.array_equal(out.values, expect)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("radius,k,alpha,beta", [(2, 2.0, 1e-4, 0.75), (1, 1.5, 0.3, 0.5)])
+    def test_lrn_matches_oracle_per_item(self, n, radius, k, alpha, beta):
+        rng = np.random.default_rng(300 + radius + n)
+        x = rng.uniform(-1, 1, (n, 5, 3, 2))
+        out = lrn(Tensor(x), depth_radius=radius, k=k, alpha=alpha, beta=beta)
+        expect = np.stack([lrn_loops(item, radius, k, alpha, beta) for item in x])
+        assert np.allclose(out.values, expect, atol=1e-12)
+
+    def test_batch_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(400)
+        x = Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+        proj = Tensor(rng.uniform(0.5, 1.5, (2, 3, 2, 2)))
+
+        def fn(x_, k_, b_):
+            y = lrn(conv2d(x_, k_, b_, stride=1, pad=1), depth_radius=1, alpha=0.5)
+            return (maxpool2d(y, 3, 2) * proj).sum()
+
+        report = grad_check(fn, [x, k, b], eps=1e-4, tol=1e-5, smooth_only=True)
+        assert report.passed, str(report)
+        assert report.compared > 0.7 * (report.compared + report.skipped)
+
+    def test_unbatched_rank_rejected(self):
+        for op in (lambda t: maxpool2d(t, 2, 2), lrn,
+                   lambda t: conv2d(t, Tensor(np.zeros((1, 1, 1, 1))), Tensor(np.zeros(1)))):
+            with pytest.raises(ShapeError, match=r"\(N, C, H, W\)"):
+                op(Tensor(np.zeros((1, 1, 1, 4, 4))))
+
+
+class TestSegmentPool:
+    def test_segments_match_triple_pool_per_segment(self):
+        # small integers tie often; length-1 segments pool to themselves
+        rng = np.random.default_rng(12)
+        lengths = [1, 4, 1, 5, 2]
+        starts = np.cumsum([0] + lengths[:-1])
+        v = rng.integers(-2, 3, (sum(lengths), 3)).astype(float)
+        t = Tensor(v, requires_grad=True)
+        out = triple_pool_columns(t, starts)
+        assert out.shape == (len(lengths), 3, 3)
+        proj = rng.uniform(0.5, 1.5, out.shape)
+        (out * Tensor(proj)).sum().backward()
+        for s, (first, length) in enumerate(zip(starts, lengths)):
+            for col in range(3):
+                seg = Tensor(v[first:first + length, col], requires_grad=True)
+                pooled = triple_pool(seg)
+                (pooled * Tensor(proj[s, col])).sum().backward()
+                assert np.array_equal(out.values[s, col], pooled.values)
+                assert np.array_equal(t.grad[first:first + length, col], seg.grad)
+
+    def test_ties_route_to_first_occurrence_in_each_segment(self):
+        t = Tensor([[3.0], [5.0], [5.0], [1.0], [1.0], [2.0], [2.0]], requires_grad=True)
+        out = triple_pool_columns(t, (0, 5))
+        assert out.values[:, 0].tolist() == [[5.0, 3.0, 1.0], [2.0, 2.0, 2.0]]
+        (out * Tensor(np.array([[[1.0, 0.0, 10.0]], [[100.0, 0.0, 1000.0]]]))).sum().backward()
+        assert t.grad[:, 0].tolist() == [0.0, 1.0, 0.0, 10.0, 0.0, 1100.0, 0.0]
+
+    def test_rows_between_segments_are_ignored(self):
+        v = np.arange(14.0).reshape(7, 2) % 5
+        t = Tensor(v, requires_grad=True)
+        out = triple_pool_columns(t, (1, 4), (2, 2))
+        for s, rows in enumerate((slice(1, 3), slice(4, 6))):
+            want = triple_pool_columns(Tensor(v[rows]))
+            assert np.array_equal(out.values[s], want.values[0])
+        out.sum().backward()
+        assert not t.grad[[0, 3, 6]].any()
+        assert t.grad[[1, 2, 4, 5]].sum(axis=0).tolist() == [6.0, 6.0]
+
+    @pytest.mark.parametrize("starts,counts", [((-1,), None), ((0, 0), None),
+                                               ((0, 3, 2), None), ((0, 7), None),
+                                               ((0, 3), (4, 1)), ((0,), (8,)), ((2,), (0,))])
+    def test_bad_segments_rejected(self, starts, counts):
+        with pytest.raises(ShapeError, match="segment starts"):
+            triple_pool_columns(Tensor(np.zeros((7, 2))), starts, counts)

@@ -198,6 +198,19 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match="label"):
             load_manifest(path)
 
+    def test_line_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a", "image": "x", "text": "t", "label": 0}\n5\n')
+        with pytest.raises(ManifestError, match="line 2: not a JSON object"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("label", ["true", "false", "1.0", '"1"'])
+    def test_label_must_be_integer_zero_or_one(self, tmp_path, label):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a", "image": "x", "text": "t", "label": %s}\n' % label)
+        with pytest.raises(ManifestError, match="label must be 0 or 1"):
+            load_manifest(path)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         record = '{"id": "dup", "image": "x", "text": "t", "label": 0}\n'
@@ -320,6 +333,40 @@ class TestCheckpoint:
         path.write_bytes(with_crc(body))
         with pytest.raises(CheckpointFormatError, match="bad config block"):
             load_checkpoint(path)
+
+    def test_non_finite_payload_names_tensor(self, tmp_path):
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=16), path)
+        body = bytearray(path.read_bytes()[:-4])
+        name = b"fc1.weight"
+        # payload starts after the name, the rank byte and two u32 extents
+        first = body.index(name) + len(name) + 1 + 2 * 4
+        body[first:first + 4] = struct.pack("<f", np.nan)
+        path.write_bytes(with_crc(body))
+        with pytest.raises(CheckpointFormatError, match="'fc1.weight' holds non-finite"):
+            load_checkpoint(path)
+
+    def test_write_is_synced_before_rename(self, tmp_path, monkeypatch):
+        import os
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.getsize(src)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=17), path)
+        size = path.stat().st_size
+        # the whole payload reaches the file before it is synced, then renamed
+        assert events == [("fsync", size), ("replace", size)]
 
     def test_load_makes_no_random_draws(self, tmp_path, monkeypatch):
         params = self.make_params(seed=14)

@@ -9,8 +9,8 @@ from dfsn.autodiff import ShapeError, Tensor, backward, zero_grads
 from dfsn.gradcheck import grad_check
 from dfsn.image import ConvLayerSpec, ConvStackConfig
 from dfsn.model import (MODALITIES, FusionConfig, ModelSample, batch_loss,
-                        empty_model, forward, fuse, fusion_preset, head_logits,
-                        init_model, predict, sample_loss)
+                        empty_model, encode_inputs, forward, fuse, fusion_preset,
+                        head_logits, init_model, predict)
 from dfsn.text import EmbeddingTable, TextConfig
 
 
@@ -95,6 +95,12 @@ class TestFuse:
         with pytest.raises(ShapeError):
             fuse(Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)))
 
+    def test_rows_fused_one_by_one(self):
+        x_i = Tensor(np.arange(6.0).reshape(2, 3))
+        x_t = Tensor(np.arange(10.0, 14.0).reshape(2, 2))
+        x = fuse(x_i, x_t)
+        assert x.values.tolist() == [[0.0, 1.0, 2.0, 10.0, 11.0], [3.0, 4.0, 5.0, 12.0, 13.0]]
+
     def test_gradient_reaches_both_blocks(self):
         x_i = Tensor(np.arange(1.0, 4.0), requires_grad=True)
         x_t = Tensor(np.arange(4.0, 7.0), requires_grad=True)
@@ -106,7 +112,7 @@ class TestFuse:
 class TestForward:
     def test_zero_model_gives_uniform_distribution(self):
         params = empty_model(micro_config())
-        x = Tensor(np.zeros(params.config.fused_size))
+        x = Tensor(np.zeros((1, params.config.fused_size)))
         probs = forward(x, params)
         assert np.allclose(probs, [0.5, 0.5])
 
@@ -114,14 +120,14 @@ class TestForward:
         params = init_model(micro_config(), seed=1)
         rng = np.random.default_rng(2)
         for _ in range(5):
-            x = Tensor(rng.uniform(-1, 1, params.config.fused_size))
+            x = Tensor(rng.uniform(-1, 1, (1, params.config.fused_size)))
             probs = forward(x, params)
             assert abs(probs.sum() - 1.0) < 1e-6
             assert np.all(probs > 0) and np.all(probs < 1)
 
     def test_fc3_bias_shift_invariance(self):
         params = init_model(micro_config(), seed=3)
-        x = Tensor(np.random.default_rng(4).uniform(-1, 1, params.config.fused_size))
+        x = Tensor(np.random.default_rng(4).uniform(-1, 1, (1, params.config.fused_size)))
         before = forward(x, params)
         params.fc_biases[2].values[...] += 7.5
         after = forward(x, params)
@@ -131,7 +137,7 @@ class TestForward:
         params = init_model(micro_config(), seed=5)
         rng = np.random.default_rng(6)
         for _ in range(10):
-            x = Tensor(rng.uniform(-1, 1, params.config.fused_size))
+            x = Tensor(rng.uniform(-1, 1, (1, params.config.fused_size)))
             logits = head_logits(x, params).values
             assert np.argmax(forward(x, params)) == np.argmax(logits)
 
@@ -139,17 +145,24 @@ class TestForward:
         rng = np.random.default_rng(7)
         for seed in range(5):
             params = init_model(micro_config(), seed=seed)
-            x = Tensor(rng.uniform(-1, 1, params.config.fused_size))
+            x = Tensor(rng.uniform(-1, 1, (1, params.config.fused_size)))
             before = int(np.argmax(forward(x, params)))
             params.fc_weights[2].values[...] *= 2.0
             params.fc_biases[2].values[...] *= 2.0
             after = int(np.argmax(forward(x, params)))
             assert before == after
 
+    def test_rows_are_independent(self):
+        params = init_model(micro_config(), seed=2)
+        rows = np.random.default_rng(8).uniform(-1, 1, (3, params.config.fused_size))
+        batched = forward(Tensor(rows), params)
+        for i, row in enumerate(rows):
+            assert np.allclose(batched[i], forward(Tensor(row[None, :]), params)[0], atol=1e-12)
+
     def test_width_mismatch_reported(self):
         params = init_model(micro_config(), seed=0)
         with pytest.raises(ShapeError):
-            head_logits(Tensor(np.zeros(params.config.fused_size + 1)), params)
+            head_logits(Tensor(np.zeros((1, params.config.fused_size + 1))), params)
 
 
 class TestLosses:
@@ -157,7 +170,7 @@ class TestLosses:
         config = micro_config()
         params = empty_model(config)
         table = EmbeddingTable(dim=config.text.dim, fallback_seed=0)
-        loss = sample_loss(micro_sample(label=0), params, table)
+        loss = batch_loss([micro_sample(label=0)], params, table)
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_loss_finite_positive_for_random_weights(self):
@@ -165,7 +178,7 @@ class TestLosses:
         table = EmbeddingTable(dim=config.text.dim, fallback_seed=0)
         for seed in range(5):
             params = init_model(config, seed=seed)
-            loss = sample_loss(micro_sample(seed=seed, label=seed % 2), params, table).item()
+            loss = batch_loss([micro_sample(seed=seed, label=seed % 2)], params, table).item()
             assert np.isfinite(loss) and loss > 0.0
 
     def test_bad_label_rejected(self):
@@ -173,15 +186,17 @@ class TestLosses:
         params = empty_model(config)
         table = EmbeddingTable(dim=config.text.dim)
         with pytest.raises(ValueError):
-            sample_loss(micro_sample(label=2), params, table)
+            batch_loss([micro_sample(label=2)], params, table)
 
     def test_batch_of_one_equals_sample_loss(self):
         config = micro_config()
         params = init_model(config, seed=8)
         table = EmbeddingTable(dim=config.text.dim, fallback_seed=0)
         s = micro_sample(seed=1)
-        assert batch_loss([s], params, table).item() == pytest.approx(
-            sample_loss(s, params, table).item(), rel=1e-12)
+        # the one sample's cross-entropy, computed by hand from its logits
+        logits = head_logits(encode_inputs([s.image], [s.tokens], params, table), params).values[0]
+        by_hand = np.log(np.exp(logits).sum()) - logits[s.label]
+        assert batch_loss([s], params, table).item() == pytest.approx(by_hand, rel=1e-12)
 
     def test_duplicated_sample_leaves_mean_unchanged(self):
         config = micro_config()
@@ -197,7 +212,7 @@ class TestLosses:
         params = init_model(config, seed=10)
         table = EmbeddingTable(dim=config.text.dim, fallback_seed=0)
         batch = [micro_sample(seed=i, label=i % 2) for i in range(3)]
-        individual = [sample_loss(s, params, table).item() for s in batch]
+        individual = [batch_loss([s], params, table).item() for s in batch]
         assert batch_loss(batch, params, table).item() == pytest.approx(
             float(np.mean(individual)), rel=1e-12)
 
@@ -211,7 +226,7 @@ class TestLosses:
         params = init_model(config, seed=11)
         table = EmbeddingTable(dim=config.text.dim, fallback_seed=0)
         zero_grads(params.tensors())
-        backward(sample_loss(micro_sample(seed=3), params, table))
+        backward(batch_loss([micro_sample(seed=3)], params, table))
         image_norm = sum(float(np.abs(t.grad).sum())
                          for t in params.image_params.named_tensors().values()
                          if t.grad is not None)
@@ -237,7 +252,7 @@ class TestModalityVariants:
         table = EmbeddingTable(dim=6, fallback_seed=0)
         for modality in ("image", "text"):
             params = init_model(micro_config(modality=modality), seed=1)
-            loss = sample_loss(micro_sample(seed=4), params, table).item()
+            loss = batch_loss([micro_sample(seed=4)], params, table).item()
             assert np.isfinite(loss)
 
     def test_fused_size_matches_branch_sum(self):
@@ -274,9 +289,28 @@ class TestEndToEndGradients:
         sample = micro_sample(seed=5)
 
         def fn(*_):
-            return sample_loss(sample, params, table)
+            return batch_loss([sample], params, table)
 
         report = grad_check(fn, params.tensors(), eps=1e-3, tol=1e-4, smooth_only=True)
         assert report.passed, str(report)
         # the probed set must retain real coverage after switch-point skips
         assert report.compared > 0.7 * (report.compared + report.skipped)
+
+    def test_batch_of_two_matches_finite_differences(self):
+        # one sentence shorter than the widest filter, one longer: the batch
+        # graph pools ragged row segments of different lengths
+        config = micro_config()
+        params = init_model(config, seed=14)
+        table = EmbeddingTable(dim=config.text.dim, fallback_seed=0)
+        rng = np.random.default_rng(6)
+        batch = [ModelSample(image=rng.uniform(-0.5, 0.5, (3, 8, 8)), tokens=tokens,
+                             label=label)
+                 for tokens, label in ((["red", "green", "blue", "cyan", "magenta"], 1),
+                                       (["teal", "rose"], 0))]
+
+        def fn(*_):
+            return batch_loss(batch, params, table)
+
+        report = grad_check(fn, params.tensors(), eps=1e-3, tol=1e-4, smooth_only=True)
+        assert report.passed, str(report)
+        assert report.compared >= 0.5 * (report.compared + report.skipped)

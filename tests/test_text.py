@@ -173,10 +173,58 @@ class TestFeatureMaps:
             assert np.allclose(maps[h].values, expect, atol=1e-6)
 
 
+class TestBatchedText:
+    def make(self):
+        rng = np.random.default_rng(12)
+        cfg = TextConfig(dim=3, max_len=8, widths=(2, 3, 4), filters_per_width=2)
+        params = init_text_params(cfg, rng, dtype=np.float64)
+        table = EmbeddingTable(dim=3, fallback_seed=4)
+        # for width 3: n = 0, n < h, n = h, n = max_len, and one in between
+        sms = [embed_sentence([f"w{n}_{i}" for i in range(n)], table, max_len=8)
+               for n in (0, 2, 3, 8, 5)]
+        return params, sms
+
+    def test_ragged_batch_matches_loop_oracle_per_sentence(self):
+        params, sms = self.make()
+        batched = encode_sentence_matrix(sms, params).values
+        for j, sm in enumerate(sms):
+            want = []
+            for h in params.config.widths:
+                fmap = text_windows_loops(sm.matrix, sm.n, h, params.weights[h].values,
+                                          params.biases[h].values, "tanh")
+                want += [[col.max(), col.mean(), col.min()] for col in fmap.T]
+            assert np.allclose(batched[j], np.ravel(want), atol=1e-12)
+
+    def test_batch_rows_equal_batches_of_one(self):
+        params, sms = self.make()
+        batched = encode_sentence_matrix(sms, params).values
+        assert batched.shape == (len(sms), params.config.feature_size)
+        for j, sm in enumerate(sms):
+            assert np.allclose(batched[j], encode_sentence_matrix([sm], params).values[0],
+                               atol=1e-12)
+
+    def test_batch_gradient_is_sum_of_sentence_gradients(self):
+        params, sms = self.make()
+        proj = np.random.default_rng(13).uniform(0.5, 1.5, (len(sms), 18))
+        backward((encode_sentence_matrix(sms, params) * Tensor(proj)).sum())
+        batched = {h: params.weights[h].grad.copy() for h in params.config.widths}
+        for h in params.config.widths:
+            params.weights[h].zero_grad()
+        for j, sm in enumerate(sms):
+            backward((encode_sentence_matrix([sm], params) * Tensor(proj[j:j + 1])).sum())
+        for h in params.config.widths:
+            assert np.allclose(batched[h], params.weights[h].grad, atol=1e-12)
+
+    def test_max_len_must_hold_widest_window(self):
+        with pytest.raises(ValueError, match="widest"):
+            TextConfig(dim=3, max_len=4, widths=(3, 5))
+
+
 def _encode(text, table, params):
-    """Tokenize, embed, and run the text branch, as the model does."""
+    """Tokenize, embed, and run the text branch on a batch of one, as the
+    model does; returns that one sentence's feature row."""
     sm = embed_sentence(tokenize(text), table, params.config.max_len)
-    return encode_sentence_matrix(sm, params)
+    return encode_sentence_matrix([sm], params).reshape(-1)
 
 
 class TestEncodeText:
@@ -223,8 +271,8 @@ class TestEncodeText:
         tokens = tokenize("gradient should not reach the table")
         sm = embed_sentence(tokens, table, params.config.max_len)
         before = sm.matrix.copy()
-        x = encode_sentence_matrix(sm, params)
-        backward((x * Tensor(np.arange(1.0, 10.0))).sum())
+        x = encode_sentence_matrix([sm], params)
+        backward((x * Tensor(np.arange(1.0, 10.0).reshape(1, 9))).sum())
         for h in (3, 4, 5):
             assert params.weights[h].grad is not None
         assert np.array_equal(sm.matrix, before)
@@ -233,10 +281,10 @@ class TestEncodeText:
         _, params, table = self.make(filters=1, seed=7)
         tokens = tokenize("six words are enough for this probe")
         sm = embed_sentence(tokens, table, params.config.max_len)
-        proj = Tensor(np.linspace(0.5, 1.5, 9))
+        proj = Tensor(np.linspace(0.5, 1.5, 9).reshape(1, 9))
 
         def fn(*_):
-            return (encode_sentence_matrix(sm, params) * proj).sum()
+            return (encode_sentence_matrix([sm], params) * proj).sum()
 
         inputs = [params.weights[3], params.biases[3], params.weights[5]]
         report = grad_check(fn, inputs, eps=1e-4, tol=1e-5, smooth_only=True)

@@ -206,6 +206,19 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(params, [], None)
 
+    def test_chunk_size_leaves_counts_unchanged(self, monkeypatch):
+        import dfsn.train as train_mod
+
+        config = text_only_config()
+        samples = polarized_samples(9, seed=5)
+        table = EmbeddingTable(dim=config.text.dim, fallback_seed=5)
+        params = init_model(config, seed=5)
+        whole = evaluate(params, samples, table)
+        for chunk in (1, 2, 4):
+            monkeypatch.setattr(train_mod, "EVAL_CHUNK", chunk)
+            m = evaluate(params, samples, table)
+            assert (m.tp, m.fp, m.fn, m.tn) == (whole.tp, whole.fp, whole.fn, whole.tn)
+
 
 class TestHistoryRendering:
     def test_markdown_table(self):
