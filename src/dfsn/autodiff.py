@@ -407,8 +407,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
 
     Output spatial extents follow floor((H + 2*pad - kh) / stride) + 1. The
     forward lowers the whole batch to one im2col matrix product; backward
-    produces gradients for the input, the kernels, and the per-output-channel
-    bias.
+    produces gradients for the kernels, the per-output-channel bias and, when
+    it requires grad, the input.
     """
     _check_image_rank(x, "conv2d")
     if kernels.ndim != 4:
@@ -441,17 +441,23 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     cols = np.ascontiguousarray(cols)
 
     def back(g):
-        gmat = g.reshape(n, c_out, ho, wo).transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
+        g = g.reshape(n, c_out, ho, wo)
+        gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
         dk = (gmat.T @ cols).reshape(c_out, c_in, kh, kw)
         db = gmat.sum(axis=0)
-        dcols = (gmat @ kmat).reshape(n, ho, wo, c_in, kh, kw)
-        dxp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad))
+        if not x.requires_grad:
+            # a constant input, such as the image, needs no gradient
+            return (None, dk, db)
+        # col2im channel-major: each kernel offset adds contiguous (n, ho, wo)
+        # blocks into a (c_in, n, Hp, Wp) buffer
+        gcm = g.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
+        dcols = (kmat.T @ gcm).reshape(c_in, kh, kw, n, ho, wo)
+        dxp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad))
         for i in range(kh):
             rows = slice(i, i + stride * (ho - 1) + 1, stride)
             for j in range(kw):
-                cols_sl = slice(j, j + stride * (wo - 1) + 1, stride)
-                dxp[:, :, rows, cols_sl] += dcols[..., i, j].transpose(0, 3, 1, 2)
-        dx = dxp[:, :, pad:pad + h, pad:pad + w]
+                dxp[:, :, rows, j:j + stride * (wo - 1) + 1:stride] += dcols[:, i, j]
+        dx = dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
         return (dx.reshape(x.shape), dk, db)
 
     return _make_node(vals, "conv2d", (x, kernels, bias), back)

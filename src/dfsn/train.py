@@ -71,8 +71,8 @@ def sgd_step(tensors: Sequence[Tensor], grads: Sequence[np.ndarray], lr: float) 
         g = np.asarray(g)
         if g.shape != t.shape:
             raise ShapeError(f"sgd_step: gradient shape {g.shape} != parameter shape {t.shape}")
-        updated = t.values.astype(np.float64) - lr * g.astype(np.float64)
-        t.values[...] = updated.astype(t.values.dtype)
+        np.subtract(t.values, np.multiply(g, lr, dtype=np.float64), out=t.values,
+                    dtype=np.float64, casting="same_kind")
 
 
 def apply_gradients(params: FusionModelParams, lr: float) -> None:

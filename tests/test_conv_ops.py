@@ -82,6 +82,41 @@ class TestConv2d:
         assert np.allclose(xt.grad, np.ones((1, 3, 3)))
         assert bt.grad.tolist() == [1.0]
 
+    # kernel > stride, so windows overlap; each case leaves trailing rows or
+    # columns that no window reaches ((H + 2p - k) % s != 0, or the same in W)
+    @pytest.mark.parametrize("k,s,p,h,w", [(5, 2, 1, 8, 9), (7, 3, 2, 10, 11), (3, 2, 1, 7, 6)])
+    def test_strided_input_gradient_matches_finite_differences(self, k, s, p, h, w):
+        rng = np.random.default_rng(500 + 10 * k + s)
+        x = Tensor(rng.uniform(-1, 1, (2, 2, h, w)), requires_grad=True)
+        kt = Tensor(rng.uniform(-1, 1, (3, 2, k, k)), requires_grad=True)
+        bt = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+        ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        proj = Tensor(rng.uniform(-1, 1, (2, 3, ho, wo)))
+
+        def fn(x_, k_, b_):
+            return (conv2d(x_, k_, b_, stride=s, pad=p) * proj).sum()
+
+        report = grad_check(fn, [x, kt, bt], eps=1e-4, tol=1e-6)
+        assert report.passed, str(report)
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(600)
+        x = rng.uniform(-1, 1, (2, 3, 9, 8))
+        k = rng.uniform(-1, 1, (4, 3, 5, 5))
+        b = rng.uniform(-1, 1, 4)
+        g = rng.uniform(-1, 1, (2, 4, 4, 3))
+
+        def grads(x_grad):
+            kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+            out = conv2d(Tensor(x, requires_grad=x_grad), kt, bt, stride=2, pad=1)
+            return out._backward_fn(g)
+
+        const, varying = grads(False), grads(True)
+        assert const[0] is None
+        assert varying[0].shape == x.shape
+        assert np.array_equal(const[1], varying[1])
+        assert np.array_equal(const[2], varying[2])
+
 
 class TestMaxPool2d:
     def test_max_of_four(self):

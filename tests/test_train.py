@@ -101,6 +101,19 @@ class TestSgdStep:
         assert t.values.dtype == np.float32
         assert np.allclose(t.values, 0.75)
 
+    @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    def test_in_place_update_is_bitwise_the_float64_formula(self, param_dtype, grad_dtype):
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal((17, 5)).astype(param_dtype)
+        g = rng.standard_normal((17, 5)).astype(grad_dtype)
+        lr = 0.0371
+        expect = (v.astype(np.float64) - lr * g.astype(np.float64)).astype(v.dtype)
+        t = Tensor(v.copy())
+        sgd_step([t], [g], lr=lr)
+        assert t.values.dtype == param_dtype
+        assert np.array_equal(t.values, expect)
+
 
 class TestMetrics:
     def test_hand_counts(self):
