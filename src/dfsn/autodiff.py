@@ -19,6 +19,14 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
 
 
+def check_int(name: str, value, low: int = 1) -> None:
+    """Config-field check: ``value`` must be an int (a bool is not) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 _SWITCH_SINK: Optional[list] = None
 
 
@@ -322,11 +330,6 @@ def tanh_op(t: Tensor) -> Tensor:
     return _make_node(y, "tanh", (t,), back)
 
 
-# Before calling BLAS numpy copies a strided operand, such as the text
-# branch's overlapping window view; row blocks keep each copy to a few MB.
-MATMUL_BLOCK_ROWS = 512
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a 2-D ``a`` (m, k) with a 2-D ``b`` (k, n)."""
     if a.ndim != 2 or b.ndim != 2:
@@ -334,16 +337,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ for {a.shape} and {b.shape}")
     av, bv = _f64(a.values), _f64(b.values)
-    blocks = [slice(i, i + MATMUL_BLOCK_ROWS)
-              for i in range(0, max(av.shape[0], 1), MATMUL_BLOCK_ROWS)]
-    vals = np.concatenate([av[rows] @ bv for rows in blocks])
 
     def back(g):
-        # the text branch's window view is a large constant: skip its gradient
-        ga = g @ bv.T if a.requires_grad else None
-        return (ga, sum(av[rows].T @ g[rows] for rows in blocks))
+        return (g @ bv.T, av.T @ g)
 
-    return _make_node(vals, "matmul", (a, b), back)
+    return _make_node(av @ bv, "matmul", (a, b), back)
+
+
+def window_filter(tokens: np.ndarray, w: Tensor, h: int) -> Tensor:
+    """Row r is ``tokens[r:r + h].reshape(-1) @ w`` for each h-row window of the
+    constant (R, D) ``tokens``; ``w`` is (h*D, F) and alone gets a gradient. kn2row:
+    one (h*F, D) @ (D, R) product whose h offset blocks are shift-added, so no window
+    is formed; unlike ``tokens @ w``, this orientation keeps OpenBLAS buffers small."""
+    rows, dim = tokens.shape
+    if w.ndim != 2 or w.shape[0] != h * dim or not 1 <= h <= rows:
+        raise ShapeError(f"window_filter: width {h} does not fit {tokens.shape} and {w.shape}")
+    f, n, tv = w.shape[1], rows - h + 1, _f64(tokens)
+    wt = _f64(w.values).reshape(h, dim, f).transpose(0, 2, 1).reshape(h * f, dim)
+    p = (wt @ tv.T).reshape(h, f, rows)
+
+    def back(g):
+        gt = np.zeros((h, f, rows))
+        for k in range(h):
+            gt[k, :, k:k + n] = g.T
+        dwt = (gt.reshape(h * f, rows) @ tv).reshape(h, f, dim)
+        return (dwt.transpose(0, 2, 1).reshape(h * dim, f),)
+
+    vals = sum(p[k, :, k:k + n] for k in range(h)).T
+    return _make_node(vals, "window_filter", (w,), back,
+                      out_dtype=np.result_type(tokens.dtype, w.dtype))
 
 
 def bias_add(mat: Tensor, vec: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, conv2d, lrn, maxpool2d, relu
+from .autodiff import Tensor, ShapeError, check_int, conv2d, lrn, maxpool2d, relu
 
 DEFAULT_CHANNEL_MEAN = (0.5, 0.5, 0.5)
 
@@ -34,6 +34,18 @@ class ConvLayerSpec:
     pool_window: Optional[int] = None
     pool_stride: Optional[int] = None
 
+    def __post_init__(self):
+        for name in ("out_channels", "kernel", "stride"):
+            check_int(name, getattr(self, name))
+        check_int("pad", self.pad, low=0)
+        if not isinstance(self.has_lrn, bool):
+            raise TypeError(f"has_lrn must be a bool, got {self.has_lrn!r}")
+        if (self.pool_window is None) != (self.pool_stride is None):
+            raise ValueError("pool_window and pool_stride are set together or not at all")
+        if self.has_pool:
+            check_int("pool_window", self.pool_window)
+            check_int("pool_stride", self.pool_stride)
+
     @property
     def has_pool(self) -> bool:
         return self.pool_window is not None
@@ -49,10 +61,13 @@ class ConvStackConfig:
     preset: str = "custom"
 
     def __post_init__(self):
+        check_int("input_side", self.input_side)
+        check_int("in_channels", self.in_channels)
         if len(self.layers) != 5:
             raise ValueError(f"the stack has exactly 5 convolutional layers, got {len(self.layers)}")
         if not self.layers[-1].has_pool:
             raise ValueError("the final layer must end in max pooling; its output is the feature")
+        self.layer_shapes()  # raises if a layer collapses the spatial extent
 
     def layer_shapes(self) -> list[tuple[int, int, int]]:
         """(channels, height, width) after each full layer, input excluded."""
@@ -67,6 +82,8 @@ class ConvStackConfig:
             if spec.has_pool:
                 h = (h - spec.pool_window) // spec.pool_stride + 1
                 w = (w - spec.pool_window) // spec.pool_stride + 1
+                if h < 1 or w < 1:
+                    raise ValueError(f"layer {i + 1}'s pooling collapses the extent to {h}x{w}")
             shapes.append((c, h, w))
         return shapes
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, ShapeError, bias_add, concat, matmul, relu,
+from .autodiff import (Tensor, ShapeError, bias_add, check_int, concat, matmul, relu,
                        softmax_cross_entropy, stable_softmax)
 from .image import (ConvStackConfig, ConvLayerSpec, ImageBranchParams,
                     encode_image, image_preset, init_image_params, preprocess_image)
@@ -45,8 +45,8 @@ class FusionConfig:
             raise ValueError(f"modality {self.modality!r} needs a text branch config")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if self.hidden1 < 1 or self.hidden2 < 1:
-            raise ValueError("hidden widths must be positive")
+        check_int("hidden1", self.hidden1)
+        check_int("hidden2", self.hidden2)
 
     @property
     def np_dtype(self):

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import (Tensor, ShapeError, bias_add, concat, matmul, tanh_op,
-                       triple_pool_columns)
+from .autodiff import (Tensor, ShapeError, bias_add, check_int, concat, tanh_op,
+                       triple_pool_columns, window_filter)
 
 DEFAULT_DIM = 200
 DEFAULT_MAX_LEN = 150
@@ -133,10 +132,12 @@ class TextConfig:
     nonlinearity: str = "tanh"
 
     def __post_init__(self):
-        if self.filters_per_width < 1:
-            raise ValueError("filters_per_width must be positive")
-        if any(h < 1 for h in self.widths):
-            raise ValueError("filter widths must be positive")
+        for name in ("dim", "max_len", "filters_per_width"):
+            check_int(name, getattr(self, name))
+        if not self.widths:
+            raise ValueError("at least one filter width is needed")
+        for h in self.widths:
+            check_int("filter width", h)
         if tuple(sorted(self.widths)) != tuple(self.widths):
             raise ValueError("filter widths must be ascending")
         if self.max_len < self.widths[-1]:
@@ -195,10 +196,9 @@ def init_text_params(config: TextConfig, rng: np.random.Generator,
 
 def _filter_map(tokens: np.ndarray, h: int, params: TextBranchParams) -> Tensor:
     """f(w . window + b) for every filter (columns) and every h-row window of
-    ``tokens`` (rows). The windows are a strided view, so none is copied.
-    Differentiable with respect to the filter weights and biases only."""
-    windows = sliding_window_view(tokens, (h, tokens.shape[1])).reshape(-1, h * tokens.shape[1])
-    pre = bias_add(matmul(Tensor(windows), params.weights[h]), params.biases[h])
+    ``tokens`` (rows), from shift-added per-offset products: no window is
+    formed. Differentiable with respect to the filter weights and biases only."""
+    pre = bias_add(window_filter(tokens, params.weights[h], h), params.biases[h])
     return tanh_op(pre) if params.config.nonlinearity == "tanh" else pre
 
 

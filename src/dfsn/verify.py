@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import (Tensor, bias_add, concat, conv2d, lrn, matmul,
                        maxpool2d, relu, softmax_cross_entropy, tanh_op,
-                       triple_pool, triple_pool_columns)
+                       triple_pool, triple_pool_columns, window_filter)
 from .gradcheck import GradCheckReport, grad_check
 from .model import FusionConfig, ModelSample, batch_loss, init_model
 from .text import EmbeddingTable
@@ -84,6 +84,13 @@ def _op_trial_factories(rng: np.random.Generator):
         a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
         return scalarize(matmul), [a, b]
+
+    def window_filter_trial():
+        # constant tokens; widths 1-3 over 2-4 windows of 3-wide rows
+        h = int(rng.integers(1, 4))
+        tokens = rng.uniform(-1, 1, (h + int(rng.integers(1, 4)), 3))
+        w = Tensor(rng.uniform(-1, 1, (h * 3, 2)), requires_grad=True)
+        return scalarize(lambda w_: window_filter(tokens, w_, h)), [w]
 
     def bias_add_trial():
         m = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
@@ -160,6 +167,8 @@ def _op_trial_factories(rng: np.random.Generator):
         ("triple_pool", triple_pool_trial),
         ("softmax_cross_entropy", softmax_ce_trial),
         ("add_sub_mul_sum_mean_reshape", arithmetic_trial),
+        # last, so the trials above keep the draws they had before it
+        ("window_filter", window_filter_trial),
     ]
 
 

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from numpy.lib.stride_tricks import sliding_window_view
+
 from dfsn.autodiff import (ShapeError, Tensor, _topo_order, backward, bias_add,
                            concat, matmul, relu, softmax_cross_entropy,
-                           stable_softmax, tanh_op)
+                           stable_softmax, tanh_op, window_filter)
 
 from oracles import matmul_loops
 
@@ -105,6 +107,48 @@ class TestMatmul:
         # dA = g @ B^T with g all-ones, dB = A^T @ g
         assert np.allclose(a.grad, np.array([[5.0, 6.0], [5.0, 6.0]]))
         assert np.allclose(b.grad, np.array([[4.0], [6.0]]))
+
+
+class TestWindowFilter:
+    @staticmethod
+    def windows(tokens, h):
+        return sliding_window_view(tokens, (h, tokens.shape[1])).reshape(-1, h * tokens.shape[1])
+
+    # (R, D, F, h): general, one window (R == h), h == 1, F == 1, D == 1
+    @pytest.mark.parametrize("rows,dim,f,h", [(7, 4, 3, 3), (3, 4, 3, 3), (6, 4, 3, 1),
+                                              (6, 4, 1, 3), (6, 1, 3, 3)])
+    def test_matches_window_product_forward_and_backward(self, rows, dim, f, h):
+        rng = np.random.default_rng(rows * 100 + dim * 10 + f + h)
+        tokens = rng.uniform(-1, 1, (rows, dim))
+        w = Tensor(rng.uniform(-1, 1, (h * dim, f)), requires_grad=True)
+        g = rng.uniform(-1, 1, (rows - h + 1, f))
+        out = window_filter(tokens, w, h)
+        windows = self.windows(tokens, h)
+        assert out.shape == (rows - h + 1, f)
+        assert np.allclose(out.values, windows @ w.values, rtol=0, atol=1e-12)
+        (out * Tensor(g)).sum().backward()
+        assert np.allclose(w.grad, windows.T @ g, rtol=0, atol=1e-12)
+
+    def test_float32_weights_give_float64_output(self):
+        rng = np.random.default_rng(3)
+        tokens = rng.uniform(-1, 1, (5, 2))
+        w = Tensor(rng.uniform(-1, 1, (4, 3)).astype(np.float32), requires_grad=True)
+        out = window_filter(tokens, w, 2)
+        assert out.dtype == np.float64
+        assert np.allclose(out.values, self.windows(tokens, 2) @ w.values.astype(np.float64),
+                           rtol=0, atol=1e-12)
+        out.sum().backward()
+        assert w.grad.dtype == np.float32
+
+    def test_tokens_get_no_gradient_slot(self):
+        w = Tensor(np.ones((2, 1)), requires_grad=True)
+        out = window_filter(np.ones((3, 1)), w, 2)
+        assert out._parents == (w,)
+
+    @pytest.mark.parametrize("rows,w_rows,h", [(2, 6, 3), (4, 4, 3), (4, 0, 0)])
+    def test_rejects_width_that_does_not_fit(self, rows, w_rows, h):
+        with pytest.raises(ShapeError, match="window_filter"):
+            window_filter(np.ones((rows, 2)), Tensor(np.ones((w_rows, 1))), h)
 
 
 class TestBiasAdd:

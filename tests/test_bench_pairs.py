@@ -1,0 +1,47 @@
+"""The A/B pair script's parsing and per-metric summary (``tools/bench_pairs.py``)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "speed", "better": "higher"}, {"name": "ms", "better": "lower"}]
+
+
+def result(speed, ms, failed=0):
+    return {"attempted": 10, "failed": failed,
+            "metrics": {"speed": {"value": speed}, "ms": {"value": ms}}}
+
+
+def test_last_json_reads_the_final_line():
+    out = "# header\nenv {\"a\": 1}\n" + json.dumps(result(1.0, 2.0)) + "\n\n"
+    assert bench_pairs.last_json(out) == result(1.0, 2.0)
+
+
+def test_last_json_rejects_empty_output():
+    with pytest.raises(ValueError):
+        bench_pairs.last_json("\n")
+
+
+def test_quartiles():
+    assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+
+
+def test_summary_counts_wins_by_direction_and_failures():
+    pairs = [(result(10, 5), result(12, 4)), (result(10, 5), result(9, 6, failed=2)),
+             (result(11, 5), result(13, 4))]
+    lines = bench_pairs.summarise(pairs, METRICS)
+    speed = next(line for line in lines if line.startswith("speed"))
+    ms = next(line for line in lines if line.startswith("ms"))
+    assert " 2/3 " in speed and " 2/3 " in ms
+    # medians 10 -> 12 against a parent IQR of 0.5: the gap exceeds it
+    assert speed.split()[-1] == "yes"
+    assert lines[-2] == "parent: 0 of 30 operations failed"
+    assert lines[-1] == "change: 2 of 30 operations failed"

@@ -1,5 +1,6 @@
 """Command-line surface: wiring, determinism, config merging, exit codes."""
 
+import json
 import struct
 import zlib
 
@@ -143,6 +144,34 @@ class TestMalformedInputsExitNonzero:
                               "--image", str(img), "--text", "hi")
         assert code != 0
         assert "checksum" in stderr
+
+    # each value used to escape as a traceback from the model builder
+    @pytest.mark.parametrize("path,value", [
+        (("image", "layers", 0, "kernel"), 0),
+        (("image", "layers", 0, "stride"), 0),
+        (("image", "layers", 0, "out_channels"), -3),
+        (("image", "input_side"), "16"),
+        (("hidden1",), 2.5),
+    ], ids=["kernel-0", "stride-0", "out_channels-neg3", "input_side-str", "hidden1-float"])
+    def test_bad_config_value(self, path, value, zero_checkpoint, dataset, tmp_path, capsys):
+        blob = zero_checkpoint.read_bytes()
+        (config_len,) = struct.unpack_from("<I", blob, 7)
+        config = json.loads(blob[11:11 + config_len])
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        block = json.dumps(config).encode("utf-8")
+        body = blob[:7] + struct.pack("<I", len(block)) + block + blob[11 + config_len:-4]
+        bad = tmp_path / "badconfig.dfsn"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code, stdout, stderr = run(capsys, "predict", "--checkpoint", str(bad),
+                                   "--image", str(dataset / "images" / "a00000.ppm"),
+                                   "--text", "hi")
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        assert "bad config block" in stderr
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_overrunning_tensor_table(self, command, zero_checkpoint, dataset, tmp_path,

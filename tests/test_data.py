@@ -1,12 +1,13 @@
 """File formats and dataset machinery: manifests, word vectors, PPM,
 checkpoints, filtering, splitting, and the synthetic generator."""
 
+import json
 import struct
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dfsn.data import (CheckpointFormatError, EmbeddingFormatError, Manifest,
                        ManifestError, PpmFormatError, Sample, filter_by_length,
@@ -380,6 +381,64 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for name, tensor in params.named_tensors().items():
             assert np.array_equal(loaded.named_tensors()[name].values, tensor.values)
+
+
+def config_paths(node, path=()):
+    """Path of every dict entry and list element below ``node``, parents first."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from config_paths(value, path + (key,))
+
+
+DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.dfsn"
+    save_checkpoint(init_model(fusion_preset("tiny"), seed=3), path)
+    return path
+
+
+class TestCheckpointConfigFuzz:
+    """Config-field edits with the CRC recomputed, so each edit reaches the parser.
+
+    Replacement integers stay within [-64, 64] and an example makes at most
+    two edits, so no edited config implies more than a few million parameters.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_only_format_errors(self, tiny_checkpoint, data):
+        blob = tiny_checkpoint.read_bytes()
+        (config_len,) = struct.unpack_from("<I", blob, 7)
+        config = json.loads(blob[11:11 + config_len])
+        values = st.one_of(st.just(DELETE), st.integers(-64, 64),
+                           st.sampled_from(["16", "", 2.5, 0.0, True, False, None, [], {}]))
+        edits = st.tuples(st.sampled_from(list(config_paths(config))), values)
+        for path, value in data.draw(st.lists(edits, min_size=1, max_size=2)):
+            node = config
+            try:
+                for key in path[:-1]:
+                    node = node[key]
+                if not isinstance(node, (dict, list)):
+                    raise TypeError
+                node[path[-1]]
+            except (KeyError, IndexError, TypeError):
+                continue  # the first edit removed or retyped this path
+            if value is DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        block = json.dumps(config).encode("utf-8")
+        body = blob[:7] + struct.pack("<I", len(block)) + block + blob[11 + config_len:-4]
+        fuzzed = tiny_checkpoint.with_name("fuzzed.dfsn")
+        fuzzed.write_bytes(with_crc(body))
+        try:
+            load_checkpoint(fuzzed)
+        except CheckpointFormatError:
+            pass
 
 
 class TestGenSynthetic:

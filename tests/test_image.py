@@ -96,6 +96,31 @@ class TestPresets:
         with pytest.raises(ValueError, match="max pooling"):
             ConvStackConfig(layers=layers, input_side=16)
 
+    @pytest.mark.parametrize("kwargs,error", [
+        (dict(out_channels=True, kernel=3), TypeError),
+        (dict(out_channels=4, kernel=3.0), TypeError),
+        (dict(out_channels=4, kernel=3, stride=0), ValueError),
+        (dict(out_channels=4, kernel=3, pad=-1), ValueError),
+        (dict(out_channels=4, kernel=3, has_lrn=1), TypeError),
+        (dict(out_channels=4, kernel=3, pool_window=2), ValueError),
+        (dict(out_channels=4, kernel=3, pool_window=2, pool_stride="2"), TypeError),
+    ])
+    def test_layer_fields_checked(self, kwargs, error):
+        with pytest.raises(error):
+            ConvLayerSpec(**kwargs)
+
+    def test_collapsing_geometry_rejected_at_construction(self):
+        tiny = image_preset("tiny")
+        with pytest.raises(TypeError, match="input_side"):
+            ConvStackConfig(layers=tiny.layers, input_side=16.0)
+        # the last layer sees a 4x4 map, so a 5-wide pooling window leaves nothing
+        layers = tiny.layers[:4] + (ConvLayerSpec(8, 3, pad=1, pool_window=5, pool_stride=2),)
+        with pytest.raises(ValueError, match="layer 5's pooling collapses"):
+            ConvStackConfig(layers=layers, input_side=16)
+        layers = (ConvLayerSpec(4, 7, pool_window=2, pool_stride=2),) + tiny.layers[1:]
+        with pytest.raises(ValueError, match="layer 1 collapses"):
+            ConvStackConfig(layers=layers, input_side=4)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             image_preset("mega")

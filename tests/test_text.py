@@ -219,6 +219,15 @@ class TestBatchedText:
         with pytest.raises(ValueError, match="widest"):
             TextConfig(dim=3, max_len=4, widths=(3, 5))
 
+    @pytest.mark.parametrize("kwargs,error", [
+        (dict(dim=True), TypeError), (dict(max_len=20.0), TypeError),
+        (dict(filters_per_width=0), ValueError), (dict(widths=()), ValueError),
+        (dict(widths=(2, "3")), TypeError), (dict(widths=(0, 3)), ValueError),
+    ])
+    def test_integer_fields_checked(self, kwargs, error):
+        with pytest.raises(error):
+            TextConfig(**{**dict(dim=3, max_len=20, widths=(2, 3)), **kwargs})
+
 
 def _encode(text, table, params):
     """Tokenize, embed, and run the text branch on a batch of one, as the
