@@ -1,9 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every operation the image branch, the text branch, and the fusion head need
-is implemented here with an explicit backward rule. Arrays are numpy-backed;
-internal arithmetic always runs in float64 even when a tensor stores float32,
-so finite-difference checks stay meaningful at narrow precision.
+is implemented here with an explicit backward rule. Arrays are numpy-backed,
+and each op computes in ``np.result_type`` of its operands: a float32 model runs
+float32 arithmetic, a float64 one (what the finite-difference checks use)
+float64. Matrix products cast both operands to that type first, since numpy
+runs a mixed-dtype product without BLAS. Sums, means and the softmax loss
+accumulate in float64.
 """
 
 from __future__ import annotations
@@ -197,12 +200,11 @@ def backward(loss: Tensor) -> None:
         g = flowing.pop(id(node), None)
         if g is None:
             continue
+        # the closure sees g at its node's dtype, so a float64 gradient from the
+        # loss does not upcast a float32 branch's backward
+        g = g.astype(node.values.dtype, copy=False)
         if node.requires_grad:
-            contribution = g.astype(node.values.dtype, copy=False)
-            if node.grad is None:
-                node.grad = contribution.copy()
-            else:
-                node.grad = node.grad + contribution
+            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward_fn is None:
             continue
         parent_grads = node._backward_fn(g)
@@ -237,7 +239,7 @@ def _add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     if a.shape != () and b.shape != ():
         _check_same_shape(a, b, "add")
-    vals = _f64(a.values) + _f64(b.values)
+    vals = a.values + b.values
 
     def back(g):
         return (_unreduce(g, a.shape), _unreduce(g, b.shape))
@@ -249,7 +251,7 @@ def _sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     if a.shape != () and b.shape != ():
         _check_same_shape(a, b, "sub")
-    vals = _f64(a.values) - _f64(b.values)
+    vals = a.values - b.values
 
     def back(g):
         return (_unreduce(g, a.shape), _unreduce(-g, b.shape))
@@ -261,7 +263,7 @@ def _mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     if a.shape != () and b.shape != ():
         _check_same_shape(a, b, "mul")
-    av, bv = _f64(a.values), _f64(b.values)
+    av, bv = a.values, b.values
     vals = av * bv
 
     def back(g):
@@ -312,7 +314,7 @@ def relu(t: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at exactly 0 is taken as 0."""
     mask = t.values > 0
     _record_switch(np.packbits(mask.reshape(-1)))
-    vals = np.where(mask, _f64(t.values), 0.0)
+    vals = np.where(mask, t.values, 0.0)
 
     def back(g):
         return (g * mask,)
@@ -322,7 +324,7 @@ def relu(t: Tensor) -> Tensor:
 
 def tanh_op(t: Tensor) -> Tensor:
     """Elementwise hyperbolic tangent."""
-    y = np.tanh(_f64(t.values))
+    y = np.tanh(t.values)
 
     def back(g):
         return (g * (1.0 - y * y),)
@@ -336,7 +338,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ for {a.shape} and {b.shape}")
-    av, bv = _f64(a.values), _f64(b.values)
+    dt = np.result_type(a.dtype, b.dtype)
+    av, bv = a.values.astype(dt, copy=False), b.values.astype(dt, copy=False)
 
     def back(g):
         return (g @ bv.T, av.T @ g)
@@ -352,27 +355,27 @@ def window_filter(tokens: np.ndarray, w: Tensor, h: int) -> Tensor:
     rows, dim = tokens.shape
     if w.ndim != 2 or w.shape[0] != h * dim or not 1 <= h <= rows:
         raise ShapeError(f"window_filter: width {h} does not fit {tokens.shape} and {w.shape}")
-    f, n, tv = w.shape[1], rows - h + 1, _f64(tokens)
-    wt = _f64(w.values).reshape(h, dim, f).transpose(0, 2, 1).reshape(h * f, dim)
+    f, n, dt = w.shape[1], rows - h + 1, np.result_type(tokens.dtype, w.dtype)
+    tv = tokens.astype(dt, copy=False)
+    wt = w.values.astype(dt, copy=False).reshape(h, dim, f).transpose(0, 2, 1).reshape(h * f, dim)
     p = (wt @ tv.T).reshape(h, f, rows)
 
     def back(g):
-        gt = np.zeros((h, f, rows))
+        gt = np.zeros((h, f, rows), dt)
         for k in range(h):
             gt[k, :, k:k + n] = g.T
         dwt = (gt.reshape(h * f, rows) @ tv).reshape(h, f, dim)
         return (dwt.transpose(0, 2, 1).reshape(h * dim, f),)
 
     vals = sum(p[k, :, k:k + n] for k in range(h)).T
-    return _make_node(vals, "window_filter", (w,), back,
-                      out_dtype=np.result_type(tokens.dtype, w.dtype))
+    return _make_node(vals, "window_filter", (w,), back, out_dtype=dt)
 
 
 def bias_add(mat: Tensor, vec: Tensor) -> Tensor:
     """Add a length-n bias vector to every row of an (m, n) matrix."""
     if mat.ndim != 2 or vec.ndim != 1 or mat.shape[1] != vec.shape[0]:
         raise ShapeError(f"bias_add: incompatible shapes {mat.shape} and {vec.shape}")
-    vals = _f64(mat.values) + _f64(vec.values)[None, :]
+    vals = mat.values + vec.values[None, :]
 
     def back(g):
         return (g, g.sum(axis=0))
@@ -398,7 +401,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         other = list(p.shape)
         if ref[:axis] != other[:axis] or ref[axis + 1:] != other[axis + 1:]:
             raise ShapeError(f"concat: non-axis extents differ, {parts[0].shape} vs {p.shape}")
-    vals = np.concatenate([_f64(p.values) for p in parts], axis=axis)
+    vals = np.concatenate([p.values for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -450,14 +453,15 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
             f"conv2d: kernel ({kh}, {kw}) exceeds padded input ({h + 2 * pad}, {w + 2 * pad})")
 
     n = x.values.size // (c_in * h * w)
-    xp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad))
+    dt = np.result_type(x.dtype, kernels.dtype, bias.dtype)
+    xp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), dt)
     xp[:, :, pad:pad + h, pad:pad + w] = x.values.reshape(n, c_in, h, w)
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c_in * kh * kw)
-    kmat = _f64(kernels.values).reshape(c_out, -1)
-    out = cols @ kmat.T + _f64(bias.values)[None, :]
+    kmat = kernels.values.astype(dt, copy=False).reshape(c_out, -1)
+    out = cols @ kmat.T + bias.values[None, :]
     vals = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2).reshape(
         x.shape[:-3] + (c_out, ho, wo))
     cols = np.ascontiguousarray(cols)
@@ -474,7 +478,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
         # blocks into a (c_in, n, Hp, Wp) buffer
         gcm = g.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
         dcols = (kmat.T @ gcm).reshape(c_in, kh, kw, n, ho, wo)
-        dxp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad))
+        dxp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad), dt)
         for i in range(kh):
             rows = slice(i, i + stride * (ho - 1) + 1, stride)
             for j in range(kw):
@@ -500,7 +504,7 @@ def maxpool2d(t: Tensor, window: int, stride: int) -> Tensor:
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
     # pooling never mixes (H, W) planes, so batch and channel axes fold into one
-    v = _f64(t.values).reshape(-1, h, w)
+    v = t.values.reshape(-1, h, w)
     planes = v.shape[0]
     win = sliding_window_view(v, (window, window), axis=(1, 2))[:, ::stride, ::stride]
     flat = win.reshape(planes, ho, wo, window * window)
@@ -509,7 +513,7 @@ def maxpool2d(t: Tensor, window: int, stride: int) -> Tensor:
     vals = np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
 
     def back(g):
-        dx = np.zeros((planes, h, w))
+        dx = np.zeros((planes, h, w), v.dtype)
         pi = np.arange(planes)[:, None, None]
         ri = np.arange(ho)[None, :, None] * stride + arg // window
         cj = np.arange(wo)[None, None, :] * stride + arg % window
@@ -532,7 +536,7 @@ def lrn(t: Tensor, depth_radius: int = 2, k: float = 2.0,
         raise ValueError(f"lrn: k must be positive to keep the denominator bounded, got {k}")
     if depth_radius < 0:
         raise ValueError(f"lrn: depth_radius must be nonnegative, got {depth_radius}")
-    v = _f64(t.values)
+    v = t.values
     c = v.shape[-3]
     sq = v * v
     denom = np.full_like(v, float(k))
@@ -586,7 +590,7 @@ def triple_pool_columns(t: Tensor, starts: Sequence[int] = (0,),
     # the pooled rows, segment after segment; segment s begins at first[s]
     first = np.cumsum(counts) - counts
     rows = np.repeat(starts - first, counts) + np.arange(counts.sum())
-    v = _f64(t.values)[rows]
+    v = t.values[rows]
     mx = np.maximum.reduceat(v, first, axis=0)
     mn = np.minimum.reduceat(v, first, axis=0)
     # the first occurrence is the smallest row index holding the extremum (a
@@ -602,7 +606,7 @@ def triple_pool_columns(t: Tensor, starts: Sequence[int] = (0,),
     vals = np.stack([mx, mean, mn], axis=2)
 
     def back(g):
-        d = np.zeros((ln, f))
+        d = np.zeros((ln, f), v.dtype)
         cols = np.arange(f)
         np.add.at(d, (amax, cols), g[..., 0])
         d[rows] += np.repeat(g[..., 1] / counts[:, None], counts, axis=0)

@@ -305,7 +305,13 @@ def load_checkpoint(path) -> FusionModelParams:
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointFormatError(f"{path}: bad config block ({exc})") from None
         (tensor_count,) = struct.unpack("<I", take(4))
-
+        # a few config bytes can imply any number of parameters: check the
+        # file holds their 4-byte payloads before allocating the model
+        implied = sum(math.prod(shape) for shape in config.param_shapes())
+        if 4 * implied > end - pos:
+            raise CheckpointFormatError(
+                f"{path}: the {implied} parameter values of the config's tensor shapes "
+                f"need {4 * implied} bytes, which overruns the {end - pos} bytes left")
         params = empty_model(config)
         expected = params.named_tensors()
         seen = set()

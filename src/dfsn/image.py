@@ -92,6 +92,14 @@ class ConvStackConfig:
         c, h, w = self.layer_shapes()[-1]
         return c * h * w
 
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Kernel then bias shape of each layer, in checkpoint order."""
+        shapes, c_in = [], self.in_channels
+        for spec in self.layers:
+            shapes += [(spec.out_channels, c_in, spec.kernel, spec.kernel), (spec.out_channels,)]
+            c_in = spec.out_channels
+        return shapes
+
 
 # The "full" stack mirrors the classic 5-layer configuration: 96/256/384/384/256
 # channels, 11/5/3/3/3 kernels, stride 4 then 1, LRN after layers 1-2, pooling
@@ -204,16 +212,15 @@ def init_image_params(config: ConvStackConfig, rng: np.random.Generator,
                       dtype=np.float32) -> ImageBranchParams:
     """Symmetric uniform init for kernels, zero biases."""
     kernels, biases = [], []
-    c_in = config.in_channels
-    for spec in config.layers:
-        k = spec.kernel
+    shapes = config.param_shapes()
+    for kernel_shape, bias_shape in zip(shapes[::2], shapes[1::2]):
+        c_out, c_in, k, _ = kernel_shape
         fan_in = c_in * k * k
-        fan_out = spec.out_channels * k * k
+        fan_out = c_out * k * k
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(spec.out_channels, c_in, k, k))
+        w = rng.uniform(-bound, bound, size=kernel_shape)
         kernels.append(Tensor(w.astype(dtype), requires_grad=True))
-        biases.append(Tensor(np.zeros(spec.out_channels, dtype=dtype), requires_grad=True))
-        c_in = spec.out_channels
+        biases.append(Tensor(np.zeros(bias_shape, dtype=dtype), requires_grad=True))
     return ImageBranchParams(config=config, kernels=kernels, biases=biases)
 
 

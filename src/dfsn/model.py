@@ -61,6 +61,23 @@ class FusionConfig:
             size += self.text.feature_size
         return size
 
+    def head_shapes(self) -> list[tuple[int, ...]]:
+        """Weight then bias shape of each fully-connected layer."""
+        widths = [self.fused_size, self.hidden1, self.hidden2, NUM_CLASSES]
+        return [shape for fan_in, fan_out in zip(widths[:-1], widths[1:])
+                for shape in ((fan_in, fan_out), (fan_out,))]
+
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Every parameter tensor's shape in checkpoint order: the layout the
+        model is built with, and what a checkpoint's size is checked against
+        before the loader allocates anything."""
+        shapes = []
+        if self.modality in ("fused", "image"):
+            shapes += self.image.param_shapes()
+        if self.modality in ("fused", "text"):
+            shapes += self.text.param_shapes()
+        return shapes + self.head_shapes()
+
 
 def fusion_preset(name: str, modality: str = "fused", dtype: str = "float32") -> FusionConfig:
     """Named model scales: "full" (224px, 100 filters, 256/64 head) or "tiny"."""
@@ -125,13 +142,14 @@ def _build_model(config: FusionConfig, rng) -> FusionModelParams:
         image_params = init_image_params(config.image, rng, dtype)
     if config.modality in ("fused", "text"):
         text_params = init_text_params(config.text, rng, dtype)
-    widths = [config.fused_size, config.hidden1, config.hidden2, NUM_CLASSES]
     fc_w, fc_b = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+    shapes = config.head_shapes()
+    for weight_shape, bias_shape in zip(shapes[::2], shapes[1::2]):
+        fan_in, fan_out = weight_shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        w = rng.uniform(-bound, bound, size=weight_shape)
         fc_w.append(Tensor(w.astype(dtype), requires_grad=True))
-        fc_b.append(Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
+        fc_b.append(Tensor(np.zeros(bias_shape, dtype=dtype), requires_grad=True))
     return FusionModelParams(config=config, image_params=image_params,
                              text_params=text_params, fc_weights=fc_w, fc_biases=fc_b)
 

@@ -150,6 +150,11 @@ class TextConfig:
         # three pooled values per filter
         return 3 * self.filters_per_width * len(self.widths)
 
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Weight then bias shape of each width's filters, in checkpoint order."""
+        f = self.filters_per_width
+        return [shape for h in self.widths for shape in ((h * self.dim, f), (f,))]
+
 
 TEXT_PRESETS = {
     "full": TextConfig(filters_per_width=100),
@@ -184,13 +189,13 @@ def init_text_params(config: TextConfig, rng: np.random.Generator,
                      dtype=np.float32) -> TextBranchParams:
     """Symmetric uniform init for filters, zero biases."""
     params = TextBranchParams(config=config)
-    f = config.filters_per_width
-    for h in config.widths:
-        fan_in = h * config.dim
+    shapes = config.param_shapes()
+    for h, weight_shape, bias_shape in zip(config.widths, shapes[::2], shapes[1::2]):
+        fan_in, f = weight_shape
         bound = np.sqrt(6.0 / (fan_in + f))
-        w = rng.uniform(-bound, bound, size=(fan_in, f))
+        w = rng.uniform(-bound, bound, size=weight_shape)
         params.weights[h] = Tensor(w.astype(dtype), requires_grad=True)
-        params.biases[h] = Tensor(np.zeros(f, dtype=dtype), requires_grad=True)
+        params.biases[h] = Tensor(np.zeros(bias_shape, dtype=dtype), requires_grad=True)
     return params
 
 

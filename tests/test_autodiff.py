@@ -357,3 +357,56 @@ class TestComputeGraph:
         t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         (t * 2.0).sum().backward()
         assert t.grad.dtype == np.float32
+
+
+def assert_dtype_rule(op, shapes, dtypes):
+    """Run ``op`` on leaves of the given shapes and dtypes and check the dtype
+    rule: the value, the gradient ``backward`` hands the op's closure (the
+    float64 one from ``sum`` included) and the gradients the closure returns
+    all take ``np.result_type`` of the operands; each leaf's grad keeps its dtype."""
+    rng = np.random.default_rng(0)
+    leaves = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+              for shape, dtype in zip(shapes, dtypes)]
+    out = op(*leaves)
+    want = np.result_type(*dtypes)
+    assert out.dtype == want
+    closure, seen = out._backward_fn, []
+
+    def spy(g):
+        grads = closure(g)
+        seen.extend([g.dtype] + [pg.dtype for pg in grads])
+        return grads
+
+    out._backward_fn = spy
+    out.sum().backward()
+    assert seen == [want] * (1 + len(leaves))
+    assert [leaf.grad.dtype for leaf in leaves] == list(dtypes)
+
+
+DTYPE_RULE_OPS = {
+    "relu": (relu, [(3, 4)]),
+    "tanh_op": (tanh_op, [(3, 4)]),
+    "matmul": (matmul, [(3, 4), (4, 2)]),
+    "bias_add": (bias_add, [(3, 4), (4,)]),
+    "concat": (lambda a, b: concat([a, b], axis=1), [(3, 4), (3, 2)]),
+    "add": (lambda a, b: a + b, [(3, 4), (3, 4)]),
+    "sub": (lambda a, b: a - b, [(3, 4), (3, 4)]),
+    "mul": (lambda a, b: a * b, [(3, 4), (3, 4)]),
+}
+
+
+class TestDtypeRule:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(DTYPE_RULE_OPS))
+    def test_one_dtype_computes_at_that_dtype(self, name, dtype):
+        op, shapes = DTYPE_RULE_OPS[name]
+        assert_dtype_rule(op, shapes, [dtype] * len(shapes))
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, s) in DTYPE_RULE_OPS.items()
+                                            if len(s) > 1))
+    def test_mixed_operands_compute_at_float64(self, name):
+        op, shapes = DTYPE_RULE_OPS[name]
+        for narrow in range(len(shapes)):
+            dtypes = [np.float64] * len(shapes)
+            dtypes[narrow] = np.float32
+            assert_dtype_rule(op, shapes, dtypes)

@@ -3,6 +3,7 @@ checkpoints, filtering, splitting, and the synthetic generator."""
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -382,6 +383,27 @@ class TestCheckpoint:
         for name, tensor in params.named_tensors().items():
             assert np.array_equal(loaded.named_tensors()[name].values, tensor.values)
 
+    def test_oversized_config_fails_before_allocating(self, tmp_path):
+        # hidden1 = 20000 makes fc1 a (50, 20000) tensor: 12 MB for a loader
+        # that allocates the model before checking the file's size
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=18), path)
+        blob = path.read_bytes()
+        (config_len,) = struct.unpack_from("<I", blob, 7)
+        config = json.loads(blob[11:11 + config_len])
+        config["hidden1"] = 20000
+        block = json.dumps(config).encode("utf-8")
+        path.write_bytes(with_crc(blob[:7] + struct.pack("<I", len(block)) + block
+                                  + blob[11 + config_len:-4]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
 
 def config_paths(node, path=()):
     """Path of every dict entry and list element below ``node``, parents first."""
@@ -404,8 +426,9 @@ def tiny_checkpoint(tmp_path_factory):
 class TestCheckpointConfigFuzz:
     """Config-field edits with the CRC recomputed, so each edit reaches the parser.
 
-    Replacement integers stay within [-64, 64] and an example makes at most
-    two edits, so no edited config implies more than a few million parameters.
+    Replacement integers run from -64 to 2**31 - 1. The loader checks the
+    parameter count a config implies against the bytes the file holds before
+    it allocates, so no edit makes it allocate more than the file's size.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -415,6 +438,7 @@ class TestCheckpointConfigFuzz:
         (config_len,) = struct.unpack_from("<I", blob, 7)
         config = json.loads(blob[11:11 + config_len])
         values = st.one_of(st.just(DELETE), st.integers(-64, 64),
+                           st.integers(65, 2 ** 31 - 1),
                            st.sampled_from(["16", "", 2.5, 0.0, True, False, None, [], {}]))
         edits = st.tuples(st.sampled_from(list(config_paths(config))), values)
         for path, value in data.draw(st.lists(edits, min_size=1, max_size=2)):

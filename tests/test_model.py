@@ -70,6 +70,13 @@ class TestInitAndEmptyModel:
             assert t.requires_grad
             assert not t.values.any(), name
 
+    @pytest.mark.parametrize("preset", ["tiny", "full"])
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_param_shapes_list_the_built_tensors(self, preset, modality):
+        config = fusion_preset(preset, modality=modality)
+        built = [t.shape for t in empty_model(config).named_tensors().values()]
+        assert built == config.param_shapes()
+
     def test_empty_makes_no_random_draws(self, monkeypatch):
         def no_draws(*_):
             raise AssertionError("random generator created")
