@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -52,13 +51,10 @@ def capture_switch_signature():
         _SWITCH_SINK = prev
 
 
-def _record_switch(payload: np.ndarray) -> None:
+def _record_switch(build: Callable[[], np.ndarray]) -> None:
+    """Append the bytes of ``build()`` to the installed sink; with none, build nothing."""
     if _SWITCH_SINK is not None:
-        _SWITCH_SINK.append(payload.tobytes())
-
-
-def _f64(a: np.ndarray) -> np.ndarray:
-    return a.astype(np.float64, copy=False)
+        _SWITCH_SINK.append(build().tobytes())
 
 
 def _coerce_values(data, dtype) -> np.ndarray:
@@ -226,19 +222,16 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # -- elementwise and structural ops -----------------------------------------
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
+def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; equal shapes, or a scalar on either side."""
+    a, b = (x if isinstance(x, Tensor) else Tensor(x) for x in (a, b))
+    if a.shape != () and b.shape != () and a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+    return a, b
 
 
 def _add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.shape != () and b.shape != ():
-        _check_same_shape(a, b, "add")
+    a, b = _operands(a, b, "add")
     vals = a.values + b.values
 
     def back(g):
@@ -248,9 +241,7 @@ def _add(a, b) -> Tensor:
 
 
 def _sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.shape != () and b.shape != ():
-        _check_same_shape(a, b, "sub")
+    a, b = _operands(a, b, "sub")
     vals = a.values - b.values
 
     def back(g):
@@ -260,9 +251,7 @@ def _sub(a, b) -> Tensor:
 
 
 def _mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.shape != () and b.shape != ():
-        _check_same_shape(a, b, "mul")
+    a, b = _operands(a, b, "mul")
     av, bv = a.values, b.values
     vals = av * bv
 
@@ -280,7 +269,7 @@ def _unreduce(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _sum(t: Tensor) -> Tensor:
-    vals = np.asarray(_f64(t.values).sum())
+    vals = np.asarray(t.values.astype(np.float64, copy=False).sum())
 
     def back(g):
         return (np.full(t.shape, float(g), dtype=np.float64),)
@@ -292,7 +281,7 @@ def _mean(t: Tensor) -> Tensor:
     n = t.values.size
     if n == 0:
         raise ShapeError("mean of an empty tensor")
-    vals = np.asarray(_f64(t.values).mean())
+    vals = np.asarray(t.values.astype(np.float64, copy=False).mean())
 
     def back(g):
         return (np.full(t.shape, float(g) / n, dtype=np.float64),)
@@ -313,7 +302,7 @@ def _reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
 def relu(t: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at exactly 0 is taken as 0."""
     mask = t.values > 0
-    _record_switch(np.packbits(mask.reshape(-1)))
+    _record_switch(lambda: np.packbits(mask.reshape(-1)))
     vals = np.where(mask, t.values, 0.0)
 
     def back(g):
@@ -454,35 +443,36 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
 
     n = x.values.size // (c_in * h * w)
     dt = np.result_type(x.dtype, kernels.dtype, bias.dtype)
-    xp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), dt)
-    xp[:, :, pad:pad + h, pad:pad + w] = x.values.reshape(n, c_in, h, w)
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c_in * kh * kw)
+    # channel-major im2col: each kernel offset copies its strided (ho, wo) runs
+    # of a (c_in, n, Hp, Wp) buffer into c_in rows of a (c_in*kh*kw, n*ho*wo) matrix
+    xp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad), dt)
+    xp[:, :, pad:pad + h, pad:pad + w] = x.values.reshape(n, c_in, h, w).transpose(1, 0, 2, 3)
+    cols = np.empty((c_in, kh, kw, n, ho, wo), dt)
+    offsets = [(i, j, slice(i, i + stride * (ho - 1) + 1, stride),
+                slice(j, j + stride * (wo - 1) + 1, stride)) for i in range(kh) for j in range(kw)]
+    for i, j, rows, cs in offsets:
+        cols[:, i, j] = xp[:, :, rows, cs]
+    cols = cols.reshape(c_in * kh * kw, n * ho * wo)
     kmat = kernels.values.astype(dt, copy=False).reshape(c_out, -1)
-    out = cols @ kmat.T + bias.values[None, :]
-    vals = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2).reshape(
+    out = kmat @ cols + bias.values[:, None]
+    # (c_out, n, ho, wo) viewed as (n, c_out, ho, wo): each (ho, wo) plane stays contiguous
+    vals = out.reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3).reshape(
         x.shape[:-3] + (c_out, ho, wo))
-    cols = np.ascontiguousarray(cols)
 
     def back(g):
-        g = g.reshape(n, c_out, ho, wo)
-        gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
-        dk = (gmat.T @ cols).reshape(c_out, c_in, kh, kw)
-        db = gmat.sum(axis=0)
+        gcm = g.reshape(n, c_out, ho, wo).transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
+        dk = (gcm @ cols.T).reshape(c_out, c_in, kh, kw)
+        db = gcm.sum(axis=1)
         if not x.requires_grad:
             # a constant input, such as the image, needs no gradient
             return (None, dk, db)
-        # col2im channel-major: each kernel offset adds contiguous (n, ho, wo)
-        # blocks into a (c_in, n, Hp, Wp) buffer
-        gcm = g.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
+        # col2im mirrors the im2col loop: each offset adds its block back
         dcols = (kmat.T @ gcm).reshape(c_in, kh, kw, n, ho, wo)
         dxp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad), dt)
-        for i in range(kh):
-            rows = slice(i, i + stride * (ho - 1) + 1, stride)
-            for j in range(kw):
-                dxp[:, :, rows, j:j + stride * (wo - 1) + 1:stride] += dcols[:, i, j]
+        for i, j, rows, cs in offsets:
+            dxp[:, :, rows, cs] += dcols[:, i, j]
         dx = dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
         return (dx.reshape(x.shape), dk, db)
 
@@ -493,7 +483,9 @@ def maxpool2d(t: Tensor, window: int, stride: int) -> Tensor:
     """Per-window maximum over a (C, H, W) or (N, C, H, W) tensor.
 
     Gradient routes to the first (row-major) argmax inside each window, which
-    keeps backward deterministic under ties.
+    keeps backward deterministic under ties. The forward is a running maximum
+    over the window offsets' strided views, and the output is channel-major
+    in memory, like conv2d's.
     """
     _check_image_rank(t, "maxpool2d")
     if window < 1 or stride < 1:
@@ -501,26 +493,34 @@ def maxpool2d(t: Tensor, window: int, stride: int) -> Tensor:
     h, w = t.shape[-2:]
     if h < window or w < window:
         raise ShapeError(f"maxpool2d: window {window} exceeds input ({h}, {w})")
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
-    # pooling never mixes (H, W) planes, so batch and channel axes fold into one
-    v = t.values.reshape(-1, h, w)
-    planes = v.shape[0]
-    win = sliding_window_view(v, (window, window), axis=(1, 2))[:, ::stride, ::stride]
-    flat = win.reshape(planes, ho, wo, window * window)
-    arg = flat.argmax(axis=3)
-    _record_switch(arg.astype(np.int32))
-    vals = np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
+    ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
+    # channel-major (C, N, H, W), as conv2d lays out its output; window offset
+    # k = a*window + b reads v[..., a + stride*i, b + stride*j]
+    v = t.values.reshape((-1,) + t.shape[-3:]).transpose(1, 0, 2, 3)
+    views = [v[..., a:a + stride * (ho - 1) + 1:stride, b:b + stride * (wo - 1) + 1:stride]
+             for a in range(window) for b in range(window)]
+    vals = views[0].copy()
+    for view in views[1:]:
+        np.maximum(vals, view, out=vals)
+    # the first offset holding the maximum, found last to first; a window
+    # with a NaN has NaN as its maximum and picks its first NaN, as argmax does
+    arg = np.zeros(vals.shape, np.intp)
+    for k in range(len(views) - 1, -1, -1):
+        arg = np.where((views[k] == vals) | np.isnan(views[k]), k, arg)
+    _record_switch(lambda: arg.transpose(1, 0, 2, 3).astype(np.int32))
 
     def back(g):
-        dx = np.zeros((planes, h, w), v.dtype)
-        pi = np.arange(planes)[:, None, None]
-        ri = np.arange(ho)[None, :, None] * stride + arg // window
-        cj = np.arange(wo)[None, None, :] * stride + arg % window
-        np.add.at(dx, (np.broadcast_to(pi, arg.shape), ri, cj), g.reshape(arg.shape))
+        # each pick as a flat index into v: one bincount sums overlapping windows
+        corner = (np.arange(0, v.size, h * w).reshape(v.shape[:2] + (1, 1))
+                  + (np.arange(ho)[:, None] * w + np.arange(wo)) * stride)
+        shift = (np.arange(window)[:, None] * w + np.arange(window)).reshape(-1)
+        gcm = g.reshape((v.shape[1], v.shape[0], ho, wo)).transpose(1, 0, 2, 3)
+        dx = np.bincount((corner + shift[arg]).reshape(-1), gcm.reshape(-1), v.size)
+        dx = dx.astype(v.dtype, copy=False).reshape(v.shape).transpose(1, 0, 2, 3)
         return (dx.reshape(t.shape),)
 
-    return _make_node(vals.reshape(t.shape[:-2] + (ho, wo)), "maxpool2d", (t,), back)
+    return _make_node(vals.transpose(1, 0, 2, 3).reshape(t.shape[:-2] + (ho, wo)),
+                      "maxpool2d", (t,), back)
 
 
 def lrn(t: Tensor, depth_radius: int = 2, k: float = 2.0,
@@ -596,11 +596,9 @@ def triple_pool_columns(t: Tensor, starts: Sequence[int] = (0,),
     # the first occurrence is the smallest row index holding the extremum (a
     # NaN column holds none and falls back to the last row)
     at, last = np.arange(len(rows))[:, None], len(rows) - 1
-    amax = rows[np.minimum.reduceat(np.where(v == np.repeat(mx, counts, axis=0), at, last),
-                                    first, axis=0)]
-    amin = rows[np.minimum.reduceat(np.where(v == np.repeat(mn, counts, axis=0), at, last),
-                                    first, axis=0)]
-    _record_switch(np.stack([amax, amin]).astype(np.int32))
+    amax, amin = (rows[np.minimum.reduceat(np.where(v == np.repeat(m, counts, axis=0), at, last),
+                                           first, axis=0)] for m in (mx, mn))
+    _record_switch(lambda: np.stack([amax, amin]).astype(np.int32))
     # constant columns pool to the shared value exactly; sum/L would round
     mean = np.where(mx == mn, mx, np.add.reduceat(v, first, axis=0) / counts[:, None])
     vals = np.stack([mx, mean, mn], axis=2)
@@ -618,7 +616,7 @@ def triple_pool_columns(t: Tensor, starts: Sequence[int] = (0,),
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, computed with max subtraction, in float64."""
-    z = _f64(np.asarray(logits))
+    z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -640,7 +638,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     n = logits.shape[-1]
     if ((labels < 0) | (labels >= n)).any():
         raise IndexError(f"labels {labels.tolist()} out of range for {n} classes")
-    z = _f64(logits.values)
+    z = logits.values.astype(np.float64, copy=False)
     shifted = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     losses = lse - np.take_along_axis(shifted, labels[..., None], axis=-1)

@@ -231,7 +231,9 @@ def encode_sentence_matrix(sms: Sequence[SentenceMatrix], params: TextBranchPara
         raise ShapeError(f"sentence matrix dims {sorted({sm.dim for sm in sms})} != "
                          f"text branch dim {cfg.dim}")
     spans = np.array([max(sm.n, cfg.widths[-1]) for sm in sms])
-    tokens = np.concatenate([sm.matrix[:span] for sm, span in zip(sms, spans)])
+    # cast once: a float32 model's text branch and head run float32
+    tokens = np.concatenate([sm.matrix[:span] for sm, span in zip(sms, spans)],
+                            dtype=params.weights[cfg.widths[0]].dtype)
     starts = np.cumsum(spans) - spans
     lengths = np.array([sm.n for sm in sms])
     blocks = []

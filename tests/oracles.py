@@ -51,6 +51,25 @@ def maxpool2d_loops(x, window, stride):
     return out
 
 
+def maxpool2d_picks_loops(x, window, stride):
+    """Row-major offset (a * window + b) of each window's first maximum."""
+    c, h, w = x.shape
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    picks = np.zeros((c, ho, wo), dtype=np.int64)
+    for ci in range(c):
+        for i in range(ho):
+            for j in range(wo):
+                best = -math.inf
+                for a in range(window):
+                    for b in range(window):
+                        v = float(x[ci, i * stride + a, j * stride + b])
+                        if v > best:
+                            best = v
+                            picks[ci, i, j] = a * window + b
+    return picks
+
+
 def lrn_loops(x, depth_radius, k, alpha, beta):
     """Direct per-position evaluation of the cross-channel normalization."""
     c, h, w = x.shape

@@ -45,3 +45,24 @@ def test_summary_counts_wins_by_direction_and_failures():
     assert speed.split()[-1] == "yes"
     assert lines[-2] == "parent: 0 of 30 operations failed"
     assert lines[-1] == "change: 2 of 30 operations failed"
+
+
+def test_summary_over_per_layer_names_keeps_columns_aligned():
+    # --trace compares BENCHMARK.json's per-layer metrics, whose names are
+    # longer than the end-to-end ones
+    specs = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["per_layer"]
+
+    def traced(scale):
+        return {"attempted": 5, "failed": 0,
+                "metrics": {s["name"]: {"value": scale * (i + 1)} for i, s in enumerate(specs)}}
+
+    pairs = [(traced(1.0), traced(0.5)), (traced(1.1), traced(0.6)), (traced(0.9), traced(1.2))]
+    lines = bench_pairs.summarise(pairs, specs)
+    rows = lines[1:1 + len(specs)]
+    assert [row.split()[0] for row in rows] == [s["name"] for s in specs]
+    # every metric is "lower is better": the change won the first two pairs
+    assert all(row.split()[-2] == "2/3" for row in rows)
+    # the name column fits the longest name, so the columns line up
+    longest = max(len(s["name"]) for s in specs)
+    assert len({len(row) for row in rows} | {len(lines[0])}) == 1
+    assert all(row[longest] == " " for row in rows)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from dfsn.autodiff import (ShapeError, Tensor, conv2d, lrn, maxpool2d, triple_pool,
-                           triple_pool_columns)
+from dfsn.autodiff import (ShapeError, Tensor, capture_switch_signature, conv2d, lrn,
+                           maxpool2d, triple_pool, triple_pool_columns)
 from dfsn.gradcheck import grad_check
 from dfsn.image import ImageBranchParams, encode_image, image_preset, init_image_params
 
-from oracles import conv2d_loops, lrn_loops, maxpool2d_loops
+from oracles import conv2d_loops, lrn_loops, maxpool2d_loops, maxpool2d_picks_loops
 from test_autodiff import assert_dtype_rule
 
 
@@ -101,6 +101,33 @@ class TestConv2d:
         report = grad_check(fn, [x, kt, bt], eps=1e-4, tol=1e-6)
         assert report.passed, str(report)
 
+    # the full preset's three geometries at small extents; the stride-4 case
+    # leaves trailing rows and columns that no window reaches
+    @pytest.mark.parametrize("k,s,p,h,w", [(11, 4, 2, 21, 22), (5, 1, 2, 7, 6), (3, 1, 1, 6, 7)])
+    def test_full_geometries_match_oracle_and_finite_differences(self, k, s, p, h, w):
+        rng = np.random.default_rng(700 + k)
+        x = rng.uniform(-1, 1, (2, 2, h, w))
+        kern = rng.uniform(-1, 1, (3, 2, k, k))
+        b = rng.uniform(-1, 1, 3)
+        out = conv2d(Tensor(x), Tensor(kern), Tensor(b), stride=s, pad=p)
+        expect = np.stack([conv2d_loops(item, kern, b, stride=s, pad=p) for item in x])
+        assert out.shape == expect.shape
+        assert np.allclose(out.values, expect, atol=1e-12)
+        proj = Tensor(rng.uniform(-1, 1, out.shape))
+        params = [Tensor(a, requires_grad=True) for a in (x, kern, b)]
+        report = grad_check(lambda x_, k_, b_: (conv2d(x_, k_, b_, stride=s, pad=p) * proj).sum(),
+                            params, eps=1e-4, tol=1e-6)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 9, 8), (3, 9, 8)])
+    def test_output_planes_are_contiguous(self, shape):
+        rng = np.random.default_rng(650)
+        out = conv2d(Tensor(rng.uniform(-1, 1, shape).astype(np.float32)),
+                     Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32)),
+                     Tensor(np.zeros(4, np.float32)), stride=2, pad=1)
+        assert out.shape == shape[:-3] + (4, 5, 4)
+        assert out.values.strides[-2:] == (4 * 4, 4)
+
     def test_constant_input_gets_no_gradient(self):
         rng = np.random.default_rng(600)
         x = rng.uniform(-1, 1, (2, 3, 9, 8))
@@ -159,6 +186,38 @@ class TestMaxPool2d:
         # column 2 wins every window along each pooled row
         assert t.grad.sum() == 4.0
         assert np.all(t.grad[:, :, :1] == 0.0)
+
+    def test_post_relu_ties_match_oracle_values_picks_and_gradient(self):
+        # about half the inputs are 0 after the ReLU, so many windows tie at 0
+        rng = np.random.default_rng(13)
+        x = np.maximum(rng.uniform(-1, 1, (2, 3, 11, 12)), 0.0)
+        x[0, 0, :5, :5] = 0.0
+        t = Tensor(x, requires_grad=True)
+        with capture_switch_signature() as sink:
+            out = maxpool2d(t, 3, 2)
+        picks = np.stack([maxpool2d_picks_loops(item, 3, 2) for item in x])
+        assert np.array_equal(out.values, np.stack([maxpool2d_loops(item, 3, 2) for item in x]))
+        assert sink == [picks.astype(np.int32).tobytes()]
+        g = rng.uniform(-1, 1, out.shape)
+        (out * Tensor(g)).sum().backward()
+        expect = np.zeros_like(x)
+        for (n, c, i, j), k in np.ndenumerate(picks):
+            expect[n, c, 2 * i + k // 3, 2 * j + k % 3] += g[n, c, i, j]
+        assert np.allclose(t.grad, expect, rtol=0, atol=1e-15)
+
+    def test_window_with_nan_routes_gradient_to_its_first_nan(self):
+        # as argmax does: NaN is the maximum of its window, and the first NaN
+        # in row-major order gets the gradient; the middle window holds no NaN
+        nan = np.nan
+        t = Tensor([[[1.0, 9.0, 2.0, 0.0, nan, 8.0],
+                     [nan, 3.0, 1.0, 1.0, 5.0, nan],
+                     [0.0, 4.0, 5.0, 6.0, 7.0, 7.0]]], requires_grad=True)
+        out = maxpool2d(t, 2, 2)
+        assert np.array_equal(out.values, [[[nan, 2.0, nan]]], equal_nan=True)
+        (out * Tensor([[[1.0, 10.0, 100.0]]])).sum().backward()
+        assert t.grad.tolist() == [[[0.0, 0.0, 10.0, 0.0, 100.0, 0.0],
+                                    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]]
 
 
 class TestLrn:

@@ -3,6 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload tiny-train --pairs 10 --seconds 45
+    python3 tools/bench_pairs.py --parent HEAD~1 --workload full-train --pairs 4 --trace
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, so nothing is recorded in ``.git`` and an interrupted run leaves
@@ -14,7 +15,9 @@ end-to-end metric of ``BENCHMARK.json`` is printed with the median and
 quartiles per side, the change/parent ratio of the medians, the number of
 pairs the change won, and whether the median gap exceeds the parent's
 interquartile range. The failed-operation counts of both sides close the
-table.
+table. With ``--trace``, both sides run ``--trace 1`` instead and the table
+covers the per-layer metrics of ``BENCHMARK.json`` (per-op milliseconds per
+step, spans, step percentiles); traced runs report no end-to-end metric.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ def _fmt(q: tuple[float, float, float]) -> str:
 
 def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """Report lines for (parent result, change result) pairs."""
-    lines = [f"{'metric':<22} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} "
+    width = max([22] + [len(spec["name"]) for spec in metrics])
+    lines = [f"{'metric':<{width}} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} "
              f"{'ratio':>6} {'won':>6} {'gap>IQR':>7}"]
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -63,7 +67,7 @@ def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         won = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
         gap = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
-        lines.append(f"{name:<22} {_fmt(pq):>32} {_fmt(cq):>32} {ratio:>6.3f} "
+        lines.append(f"{name:<{width}} {_fmt(pq):>32} {_fmt(cq):>32} {ratio:>6.3f} "
                      f"{f'{won}/{len(pairs)}':>6} {'yes' if gap > pq[2] - pq[0] else 'no':>7}")
     for side, idx in (("parent", 0), ("change", 1)):
         failed = sum(pair[idx]["failed"] for pair in pairs)
@@ -82,9 +86,9 @@ def export_revision(rev: str, dest: Path) -> None:
     archive.unlink()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -98,10 +102,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--first-seed", dest="first_seed", type=int, default=1)
+    parser.add_argument("--trace", action="store_true",
+                        help="run both sides traced and compare the per-layer metrics")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())[
+        "per_layer" if args.trace else "end_to_end"]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         export_revision(args.parent, Path(tmp))
@@ -109,7 +116,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            results = {side: run_once(trees[side], args.workload, seed, args.seconds)
+            results = {side: run_once(trees[side], args.workload, seed, args.seconds, args.trace)
                        for side in order}
             pairs.append((results["parent"], results["change"]))
             print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
@@ -117,7 +124,7 @@ def main(argv=None) -> int:
                               f" -> {results['change']['metrics'][m['name']]['value']:.4g}"
                               for m in metrics), flush=True)
     print(f"# {args.workload}: {args.parent} -> working tree, {args.pairs} pairs, "
-          f"{args.seconds:g} s per run")
+          f"{args.seconds:g} s per run{', traced' if args.trace else ''}")
     print("\n".join(summarise(pairs, metrics)))
     return 0
 
