@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import data as dio
-from .model import fusion_preset, init_model, predict
+from .model import MODALITIES, FusionConfig, fusion_preset, init_model, predict
 from .text import EmbeddingTable
 from .train import TrainConfig, evaluate, render_history_markdown
 from .train import train as run_training
@@ -89,7 +90,11 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _load_table(path, dim: int, seed: int) -> EmbeddingTable:
+def _load_table(config: FusionConfig, path, seed: int) -> Optional[EmbeddingTable]:
+    """The word vectors a model's text branch reads; None without a text branch."""
+    if config.text is None:
+        return None
+    dim = config.text.dim
     if path is None:
         # no vector file: every word uses the deterministic seeded fallback
         return EmbeddingTable(dim=dim, fallback_seed=seed)
@@ -139,16 +144,16 @@ def cmd_train(args) -> int:
     if args.out is None:
         raise CliError("train needs --out")
     seed = int(settings["seed"])
+    holdout = float(settings["holdout"])
+    if not 0.0 <= holdout < 1.0:
+        raise CliError(f"holdout must be in [0, 1), got {holdout}")
     config = fusion_preset(str(settings["preset"]), modality=str(settings["modality"]))
     manifest = dio.load_manifest(args.manifest)
     manifest = dio.filter_by_length(manifest)
     if len(manifest) == 0:
         raise CliError("no samples left after the 5 < words < 150 length filter")
-    table = None
-    if config.modality in ("fused", "text"):
-        table = _load_table(args.embeddings, config.text.dim, seed)
+    table = _load_table(config, args.embeddings, seed)
     base_dir = Path(args.manifest).parent
-    holdout = float(settings["holdout"])
     eval_samples = None
     if args.eval_manifest is not None:
         eval_manifest = dio.filter_by_length(dio.load_manifest(args.eval_manifest))
@@ -176,12 +181,9 @@ def cmd_eval(args) -> int:
     if args.checkpoint is None or args.manifest is None:
         raise CliError("eval needs --checkpoint and --manifest")
     params = dio.load_checkpoint(args.checkpoint)
-    config = params.config
-    table = None
-    if config.modality in ("fused", "text"):
-        table = _load_table(args.embeddings, config.text.dim, int(settings["seed"]))
+    table = _load_table(params.config, args.embeddings, int(settings["seed"]))
     manifest = dio.load_manifest(args.manifest)
-    samples = dio.materialize(manifest, Path(args.manifest).parent, config, table)
+    samples = dio.materialize(manifest, Path(args.manifest).parent, params.config, table)
     report = evaluate(params, samples, table)
     print(report.row())
     return 0
@@ -194,17 +196,14 @@ def cmd_predict(args) -> int:
     params = dio.load_checkpoint(args.checkpoint)
     config = params.config
     image = None
-    if config.modality in ("fused", "image"):
+    if config.image is not None:
         if args.image is None:
             raise CliError("this model needs --image")
         image = dio.load_ppm(args.image)
-    text = args.text
-    if config.modality in ("fused", "text") and text is None:
+    if config.text is not None and args.text is None:
         raise CliError("this model needs --text")
-    table = None
-    if config.modality in ("fused", "text"):
-        table = _load_table(args.embeddings, config.text.dim, int(settings["seed"]))
-    result = predict(image, text, params, table)
+    table = _load_table(config, args.embeddings, int(settings["seed"]))
+    result = predict(image, args.text, params, table)
     print(f"{result.label} {result.p_neg:.3f} {result.p_pos:.3f}")
     return 0
 
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write checkpoints + history")
     common(p)
-    p.add_argument("--modality", choices=("fused", "image", "text"))
+    p.add_argument("--modality", choices=MODALITIES)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", type=float, help="initial learning rate")
     p.add_argument("--decay-base", dest="decay_base", type=float)

@@ -57,7 +57,6 @@ class Sample:
 @dataclass
 class Manifest:
     samples: list[Sample] = field(default_factory=list)
-    note: str = ""
     split: str = "unsplit"
 
     def __len__(self) -> int:
@@ -98,7 +97,7 @@ def load_manifest(path) -> Manifest:
             samples.append(Sample(id=str(rec["id"]), image_path=str(rec["image"]),
                                   text=str(rec["text"]), label=int(label)))
     _check_unique_ids(samples, str(path))
-    return Manifest(samples=samples, note=str(path))
+    return Manifest(samples=samples)
 
 
 def save_manifest(manifest: Manifest, path) -> None:
@@ -459,7 +458,7 @@ def gen_synthetic(n: int, regime_mix: Sequence[float] = (0.25, 0.25, 0.25, 0.25)
             samples.append(Sample(id=sample_id, image_path=rel_path,
                                   text=" ".join(tokens), label=label))
             serial += 1
-    return Manifest(samples=samples, note=f"synthetic n={n} seed={seed}")
+    return Manifest(samples=samples)
 
 
 # -- materialization -----------------------------------------------------------
@@ -474,16 +473,11 @@ def materialize(manifest: Manifest, base_dir, config: FusionConfig,
     """
     base = Path(base_dir)
     out = []
-    needs_image = config.modality in ("fused", "image")
-    needs_text = config.modality in ("fused", "text")
     for s in manifest.samples:
         image = None
-        if needs_image:
-            path = Path(s.image_path)
-            if not path.is_absolute():
-                path = base / path
-            pixels = load_ppm(path)
+        if config.image is not None:
+            pixels = load_ppm(base / s.image_path)
             image = preprocess_image(pixels, config.image.input_side, dtype=config.np_dtype)
-        tokens = tokenize(s.text) if needs_text else None
+        tokens = tokenize(s.text) if config.text is not None else None
         out.append(ModelSample(image=image, tokens=tokens, label=s.label, id=s.id))
     return out

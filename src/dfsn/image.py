@@ -200,11 +200,11 @@ class ImageBranchParams:
     kernels: list[Tensor]
     biases: list[Tensor]
 
-    def named_tensors(self, prefix: str = "image") -> dict[str, Tensor]:
+    def named_tensors(self) -> dict[str, Tensor]:
         out = {}
         for i, (k, b) in enumerate(zip(self.kernels, self.biases), start=1):
-            out[f"{prefix}.conv{i}.weight"] = k
-            out[f"{prefix}.conv{i}.bias"] = b
+            out[f"image.conv{i}.weight"] = k
+            out[f"image.conv{i}.bias"] = b
         return out
 
 
@@ -224,14 +224,14 @@ def init_image_params(config: ConvStackConfig, rng: np.random.Generator,
     return ImageBranchParams(config=config, kernels=kernels, biases=biases)
 
 
-def encode_image(img, params: ImageBranchParams, config: Optional[ConvStackConfig] = None) -> Tensor:
+def encode_image(img, params: ImageBranchParams) -> Tensor:
     """Run the stack and flatten each image's final pooling output.
 
     ``img`` is a (3, S, S) image or an (N, 3, S, S) batch, as an array or a
     tensor; the result is (features,) or (N, features). Shape mismatches raise
     with the offending layer named.
     """
-    cfg = config or params.config
+    cfg = params.config
     x = img if isinstance(img, Tensor) else Tensor(img)
     if x.ndim not in (3, 4) or x.shape[-3:] != (cfg.in_channels, cfg.input_side, cfg.input_side):
         raise ShapeError(

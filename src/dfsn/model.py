@@ -2,7 +2,7 @@
 
 The image feature vector and the text feature vector are concatenated
 (image block first) and pushed through three fully-connected layers into a
-2-way softmax. Single-modality variants reuse the same head on one branch,
+2-way softmax. A model with one branch feeds its features to the same head,
 which is how the image-only and text-only baselines are trained.
 """
 
@@ -27,26 +27,28 @@ NUM_CLASSES = 2
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Everything needed to rebuild a model's parameter shapes."""
+    """Everything needed to rebuild a model's parameter shapes; a None branch is absent."""
 
     image: Optional[ConvStackConfig]
     text: Optional[TextConfig]
     hidden1: int = 256
     hidden2: int = 64
-    modality: str = "fused"
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise ValueError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-        if self.modality in ("fused", "image") and self.image is None:
-            raise ValueError(f"modality {self.modality!r} needs an image branch config")
-        if self.modality in ("fused", "text") and self.text is None:
-            raise ValueError(f"modality {self.modality!r} needs a text branch config")
+        if self.image is None and self.text is None:
+            raise ValueError("a model needs an image branch, a text branch or both")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         check_int("hidden1", self.hidden1)
         check_int("hidden2", self.hidden2)
+
+    @property
+    def modality(self) -> str:
+        """The name of the branch set: "fused", "image" or "text"."""
+        if self.image is None:
+            return "text"
+        return "image" if self.text is None else "fused"
 
     @property
     def np_dtype(self):
@@ -54,12 +56,7 @@ class FusionConfig:
 
     @property
     def fused_size(self) -> int:
-        size = 0
-        if self.modality in ("fused", "image"):
-            size += self.image.feature_size
-        if self.modality in ("fused", "text"):
-            size += self.text.feature_size
-        return size
+        return sum(b.feature_size for b in (self.image, self.text) if b is not None)
 
     def head_shapes(self) -> list[tuple[int, ...]]:
         """Weight then bias shape of each fully-connected layer."""
@@ -71,23 +68,21 @@ class FusionConfig:
         """Every parameter tensor's shape in checkpoint order: the layout the
         model is built with, and what a checkpoint's size is checked against
         before the loader allocates anything."""
-        shapes = []
-        if self.modality in ("fused", "image"):
-            shapes += self.image.param_shapes()
-        if self.modality in ("fused", "text"):
-            shapes += self.text.param_shapes()
-        return shapes + self.head_shapes()
+        return [shape for branch in (self.image, self.text) if branch is not None
+                for shape in branch.param_shapes()] + self.head_shapes()
 
 
 def fusion_preset(name: str, modality: str = "fused", dtype: str = "float32") -> FusionConfig:
-    """Named model scales: "full" (224px, 100 filters, 256/64 head) or "tiny"."""
-    if name == "full":
-        return FusionConfig(image=image_preset("full"), text=text_preset("full"),
-                            hidden1=256, hidden2=64, modality=modality, dtype=dtype)
-    if name == "tiny":
-        return FusionConfig(image=image_preset("tiny"), text=text_preset("tiny"),
-                            hidden1=16, hidden2=8, modality=modality, dtype=dtype)
-    raise ValueError(f"unknown preset {name!r} (have 'full', 'tiny')")
+    """Named model scales: "full" (224px, 100 filters, 256/64 head) or "tiny".
+    The branch ``modality`` leaves out is None."""
+    hidden = {"full": (256, 64), "tiny": (16, 8)}
+    if name not in hidden:
+        raise ValueError(f"unknown preset {name!r} (have 'full', 'tiny')")
+    if modality not in MODALITIES:
+        raise ValueError(f"modality must be one of {MODALITIES}, got {modality!r}")
+    return FusionConfig(image=image_preset(name) if modality != "text" else None,
+                        text=text_preset(name) if modality != "image" else None,
+                        hidden1=hidden[name][0], hidden2=hidden[name][1], dtype=dtype)
 
 
 @dataclass
@@ -138,9 +133,9 @@ def _build_model(config: FusionConfig, rng) -> FusionModelParams:
     dtype = config.np_dtype
     image_params = None
     text_params = None
-    if config.modality in ("fused", "image"):
+    if config.image is not None:
         image_params = init_image_params(config.image, rng, dtype)
-    if config.modality in ("fused", "text"):
+    if config.text is not None:
         text_params = init_text_params(config.text, rng, dtype)
     fc_w, fc_b = [], []
     shapes = config.head_shapes()
@@ -192,23 +187,23 @@ def encode_inputs(images: Sequence, token_lists: Sequence, params: FusionModelPa
                   table: Optional[EmbeddingTable]) -> Tensor:
     """(N, fused_size) branch features of a batch, fused if the model uses both.
 
-    ``images`` and ``token_lists`` hold one entry per sample; entries of a
-    modality the model ignores may be None.
+    ``images`` and ``token_lists`` hold one entry per sample; entries for a
+    branch the model lacks may be None.
     """
     cfg = params.config
     parts = []
-    if cfg.modality in ("fused", "image"):
+    if cfg.image is not None:
         if any(img is None for img in images):
             raise ValueError("model needs an image input")
-        parts.append(encode_image(np.stack(images), params.image_params, cfg.image))
-    if cfg.modality in ("fused", "text"):
+        parts.append(encode_image(np.stack(images), params.image_params))
+    if cfg.text is not None:
         if any(tokens is None for tokens in token_lists):
             raise ValueError("model needs a text input")
         if table is None:
             raise ValueError("text encoding needs an embedding table")
         sms = [embed_sentence(tokens, table, cfg.text.max_len) for tokens in token_lists]
         parts.append(encode_sentence_matrix(sms, params.text_params))
-    return fuse(*parts) if cfg.modality == "fused" else parts[0]
+    return fuse(*parts) if len(parts) == 2 else parts[0]
 
 
 def batch_loss(batch: Sequence[ModelSample], params: FusionModelParams,
@@ -241,15 +236,15 @@ def predict(image, text, params: FusionModelParams,
     to label 0.
 
     ``image`` is decoded pixels (preprocessing happens here); ``text`` may be
-    a raw string or a token list. Inputs the model's modality ignores may be
+    a raw string or a token list. Inputs for a branch the model lacks may be
     None.
     """
     cfg = params.config
     img = None
-    if cfg.modality in ("fused", "image"):
+    if cfg.image is not None:
         img = preprocess_image(image, cfg.image.input_side, dtype=cfg.np_dtype)
     tokens = None
-    if cfg.modality in ("fused", "text"):
+    if cfg.text is not None:
         tokens = tokenize(text) if isinstance(text, str) else list(text)
     probs = forward(encode_inputs([img], [tokens], params, table), params)[0]
     return Prediction(label=int(predicted_label(probs)), p_neg=float(probs[0]),
@@ -260,23 +255,30 @@ def predict(image, text, params: FusionModelParams,
 
 
 def config_to_dict(config: FusionConfig) -> dict:
-    """Every config field, nested configs as dicts; an absent branch is left out."""
-    return {key: value for key, value in asdict(config).items() if value is not None}
+    """Every config field and the derived ``modality`` (which older readers
+    need), nested configs as dicts; an absent branch is left out."""
+    out = {key: value for key, value in asdict(config).items() if value is not None}
+    return {**out, "modality": config.modality}
 
 
 def config_from_dict(d: dict) -> FusionConfig:
+    """Inverse of ``config_to_dict``. Only the branch blocks the stored
+    modality uses are read: older single-modality files carry the unused one."""
+    modality = d["modality"]
+    if modality not in MODALITIES:
+        raise ValueError(f"stored modality {modality!r} is not one of {MODALITIES}")
     image = None
-    if "image" in d:
+    if modality != "text":
         img = d["image"]
         image = ConvStackConfig(
             layers=tuple(ConvLayerSpec(**layer) for layer in img["layers"]),
             input_side=img["input_side"], in_channels=img["in_channels"],
             preset=img.get("preset", "custom"))
     text = None
-    if "text" in d:
+    if modality != "image":
         tx = d["text"]
         text = TextConfig(dim=tx["dim"], max_len=tx["max_len"], widths=tuple(tx["widths"]),
                           filters_per_width=tx["filters_per_width"],
                           nonlinearity=tx["nonlinearity"])
     return FusionConfig(image=image, text=text, hidden1=d["hidden1"], hidden2=d["hidden2"],
-                        modality=d["modality"], dtype=d["dtype"])
+                        dtype=d["dtype"])

@@ -177,11 +177,11 @@ class TextBranchParams:
     weights: dict[int, Tensor] = field(default_factory=dict)
     biases: dict[int, Tensor] = field(default_factory=dict)
 
-    def named_tensors(self, prefix: str = "text") -> dict[str, Tensor]:
+    def named_tensors(self) -> dict[str, Tensor]:
         out = {}
         for h in self.config.widths:
-            out[f"{prefix}.w{h}.weight"] = self.weights[h]
-            out[f"{prefix}.w{h}.bias"] = self.biases[h]
+            out[f"text.w{h}.weight"] = self.weights[h]
+            out[f"text.w{h}.bias"] = self.biases[h]
         return out
 
 

@@ -144,7 +144,7 @@ def evaluate(params: FusionModelParams, samples: Sequence[ModelSample],
     if len(samples) == 0:
         raise ValueError("evaluate needs a nonempty dataset")
     chunk = EVAL_CHUNK
-    if params.config.modality != "text":
+    if params.config.image is not None:
         chunk = max(1, min(chunk, EVAL_CHUNK_PIXELS // params.config.image.input_side ** 2))
     preds = []
     for start in range(0, len(samples), chunk):

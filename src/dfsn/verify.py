@@ -195,10 +195,10 @@ def _demo_sample(rng: np.random.Generator, config: FusionConfig,
                  table: EmbeddingTable) -> ModelSample:
     image = None
     tokens = None
-    if config.modality in ("fused", "image"):
+    if config.image is not None:
         side = config.image.input_side
         image = rng.uniform(-0.5, 0.5, size=(3, side, side))
-    if config.modality in ("fused", "text"):
+    if config.text is not None:
         words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
         count = int(rng.integers(6, 12))
         tokens = [words[int(rng.integers(0, len(words)))] for _ in range(count)]

@@ -152,7 +152,9 @@ class TestMalformedInputsExitNonzero:
         (("image", "layers", 0, "out_channels"), -3),
         (("image", "input_side"), "16"),
         (("hidden1",), 2.5),
-    ], ids=["kernel-0", "stride-0", "out_channels-neg3", "input_side-str", "hidden1-float"])
+        (("modality",), "audio"),
+    ], ids=["kernel-0", "stride-0", "out_channels-neg3", "input_side-str", "hidden1-float",
+            "modality-audio"])
     def test_bad_config_value(self, path, value, zero_checkpoint, dataset, tmp_path, capsys):
         blob = zero_checkpoint.read_bytes()
         (config_len,) = struct.unpack_from("<I", blob, 7)
@@ -190,6 +192,30 @@ class TestMalformedInputsExitNonzero:
         assert code == 1
         assert stderr.startswith("error:")
 
+
+    # outside [0, 1) no split is meant: 1.5 would give a 50/50 split, -0.5 no held-out set
+    @pytest.mark.parametrize("holdout", ["1.5", "-0.5"])
+    def test_holdout_outside_unit_interval(self, holdout, dataset, tmp_path, capsys):
+        code, stdout, stderr = run(capsys, "train", "--manifest",
+                                   str(dataset / "manifest.jsonl"), "--out",
+                                   str(tmp_path / "run"), "--holdout", holdout)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        assert holdout in stderr
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_modality_in_config_file(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("modality = audio\n")
+        code, stdout, stderr = run(capsys, "train", "--manifest",
+                                   str(dataset / "manifest.jsonl"), "--config", str(cfg),
+                                   "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        assert "audio" in stderr
+        assert "Traceback" not in stderr
 
     def test_manifest_line_not_an_object(self, tmp_path, capsys):
         manifest = tmp_path / "five.jsonl"

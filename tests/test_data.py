@@ -15,7 +15,8 @@ from dfsn.data import (CheckpointFormatError, EmbeddingFormatError, Manifest,
                        gen_synthetic, load_checkpoint, load_embeddings,
                        load_manifest, load_ppm, materialize, save_checkpoint,
                        save_manifest, save_ppm, split_train_test)
-from dfsn.model import fusion_preset, init_model
+from dfsn.image import preprocess_image
+from dfsn.model import config_to_dict, fusion_preset, init_model
 from dfsn.text import EmbeddingTable, tokenize
 
 
@@ -226,6 +227,18 @@ def with_crc(body) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def config_block(blob) -> dict:
+    (config_len,) = struct.unpack_from("<I", blob, 7)
+    return json.loads(blob[11:11 + config_len])
+
+
+def with_config(blob, config) -> bytes:
+    """``blob`` with its config block replaced by ``config`` and the CRC recomputed."""
+    (config_len,) = struct.unpack_from("<I", blob, 7)
+    block = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    return with_crc(blob[:7] + struct.pack("<I", len(block)) + block + blob[11 + config_len:-4])
+
+
 class TestCheckpoint:
     def make_params(self, seed=0, preset="tiny"):
         return init_model(fusion_preset(preset), seed=seed)
@@ -305,6 +318,41 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         assert loaded.config == params.config
+
+    @pytest.mark.parametrize("modality,unused", [("text", "image"), ("image", "text")])
+    def test_single_branch_config_block_holds_only_its_branch(self, tmp_path, modality,
+                                                              unused):
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(init_model(fusion_preset("tiny", modality=modality), seed=4), path)
+        config = config_block(path.read_bytes())
+        assert unused not in config
+        assert config["modality"] == modality
+
+    def test_text_checkpoint_with_unused_image_block_loads(self, tmp_path):
+        # older writers echoed the preset's image block into text-only checkpoints
+        params = init_model(fusion_preset("tiny", modality="text"), seed=5)
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(params, path)
+        blob = path.read_bytes()
+        config = config_block(blob)
+        config["image"] = config_to_dict(fusion_preset("tiny"))["image"]
+        path.write_bytes(with_config(blob, config))
+        loaded = load_checkpoint(path)
+        assert loaded.config.image is None
+        assert loaded.config == params.config
+        assert loaded.image_params is None
+        for name, tensor in params.named_tensors().items():
+            assert np.array_equal(loaded.named_tensors()[name].values, tensor.values), name
+
+    def test_unknown_stored_modality(self, tmp_path):
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=16), path)
+        blob = path.read_bytes()
+        config = config_block(blob)
+        config["modality"] = "audio"
+        path.write_bytes(with_config(blob, config))
+        with pytest.raises(CheckpointFormatError, match="audio"):
+            load_checkpoint(path)
 
     def test_tensor_count_one_too_high(self, tmp_path):
         path = tmp_path / "model.dfsn"
@@ -561,3 +609,16 @@ class TestMaterialize:
         config = fusion_preset("tiny", modality="image")
         samples = materialize(m, tmp_path, config, None)
         assert all(s.tokens is None for s in samples)
+
+    def test_absolute_and_relative_image_paths(self, tmp_path):
+        m = gen_synthetic(2, seed=10, out_dir=tmp_path / "data")
+        elsewhere = tmp_path / "elsewhere.ppm"
+        (tmp_path / "data" / m.samples[0].image_path).rename(elsewhere)
+        m.samples[0].image_path = str(elsewhere)
+        manifest_path = tmp_path / "data" / "manifest.jsonl"
+        save_manifest(m, manifest_path)
+        config = fusion_preset("tiny", modality="image")
+        samples = materialize(load_manifest(manifest_path), manifest_path.parent, config, None)
+        for s, path in zip(samples, [elsewhere, tmp_path / "data" / m.samples[1].image_path]):
+            expected = preprocess_image(load_ppm(path), 16, dtype=np.float32)
+            assert np.array_equal(s.image, expected)

@@ -28,8 +28,9 @@ def micro_config(modality="fused", dtype="float64"):
         preset="micro",
     )
     text = TextConfig(dim=6, max_len=12, widths=(2, 3), filters_per_width=1)
-    return FusionConfig(image=image, text=text, hidden1=5, hidden2=4,
-                        modality=modality, dtype=dtype)
+    return FusionConfig(image=image if modality != "text" else None,
+                        text=text if modality != "image" else None,
+                        hidden1=5, hidden2=4, dtype=dtype)
 
 
 def micro_sample(seed=0, label=1):
@@ -245,6 +246,22 @@ class TestLosses:
 
 
 class TestModalityVariants:
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_preset_keeps_only_the_used_branches(self, modality):
+        config = fusion_preset("tiny", modality=modality)
+        assert (config.image is not None) == (modality != "text")
+        assert (config.text is not None) == (modality != "image")
+        assert config.modality == modality
+        assert micro_config(modality).modality == modality
+
+    def test_unknown_modality_rejected(self):
+        with pytest.raises(ValueError, match="audio"):
+            fusion_preset("tiny", modality="audio")
+
+    def test_config_without_branches_rejected(self):
+        with pytest.raises(ValueError, match="branch"):
+            FusionConfig(image=None, text=None)
+
     def test_image_only_has_no_text_params(self):
         params = init_model(micro_config(modality="image"), seed=0)
         assert params.text_params is None

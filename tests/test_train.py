@@ -13,8 +13,7 @@ from dfsn.model import FusionConfig
 
 def text_only_config(dtype="float64"):
     text = TextConfig(dim=8, max_len=16, widths=(2, 3), filters_per_width=2)
-    return FusionConfig(image=None, text=text, hidden1=6, hidden2=4,
-                        modality="text", dtype=dtype)
+    return FusionConfig(image=None, text=text, hidden1=6, hidden2=4, dtype=dtype)
 
 
 def polarized_samples(n, seed=0):
