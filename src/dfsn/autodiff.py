@@ -72,7 +72,8 @@ class Tensor:
     ``values`` is row-major and its shape is fixed at creation. Tensors
     produced by operations are treated as immutable; parameters (leaves)
     may be updated in place by an optimizer between backward passes.
-    ``grad`` matches ``values`` in shape and dtype once populated.
+    ``grad`` matches ``values`` in shape and dtype once populated; only a
+    leaf (a tensor without a backward rule) gets one.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_op", "_parents", "_backward_fn")
@@ -184,7 +185,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` on the leaves reachable from ``loss``: the requires_grad
+    tensors without a backward rule, such as parameters. Other nodes keep None.
 
     ``loss`` must hold a single element. Gradients accumulate across calls;
     use ``zero_grads`` (or ``Tensor.zero_grad``) to reset between steps.
@@ -199,9 +201,9 @@ def backward(loss: Tensor) -> None:
         # the closure sees g at its node's dtype, so a float64 gradient from the
         # loss does not upcast a float32 branch's backward
         g = g.astype(node.values.dtype, copy=False)
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward_fn is None:
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward_fn(g)
         for parent, pg in zip(node._parents, parent_grads):

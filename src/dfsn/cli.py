@@ -2,8 +2,8 @@
 gradient checking, and history reports.
 
 Results go to stdout or files; diagnostics go to stderr. Every command is
-deterministic given identical flags, config file, and inputs. Settings merge
-as defaults < config file < flags.
+deterministic given identical flags, config file, and inputs. Each command
+takes only the flags it reads; settings merge as defaults < config file < flags.
 """
 
 from __future__ import annotations
@@ -147,6 +147,8 @@ def cmd_train(args) -> int:
     holdout = float(settings["holdout"])
     if not 0.0 <= holdout < 1.0:
         raise CliError(f"holdout must be in [0, 1), got {holdout}")
+    if args.eval_manifest is not None and holdout > 0.0:
+        raise CliError(f"give --eval-manifest or holdout {holdout}, not both")
     config = fusion_preset(str(settings["preset"]), modality=str(settings["modality"]))
     manifest = dio.load_manifest(args.manifest)
     manifest = dio.filter_by_length(manifest)
@@ -237,65 +239,61 @@ def cmd_report(args) -> int:
     return 0
 
 
+# every flag, declared once: its name without the leading "--" and its argparse keywords
+FLAGS = {
+    "config": dict(help="flat key = value settings file"),
+    "seed": dict(type=int, help="master random seed"),
+    "preset": dict(choices=("full", "tiny"), help="model scale"),
+    "modality": dict(choices=MODALITIES),
+    "embeddings": dict(help="word-vector file (textual format)"),
+    "manifest": dict(help="JSONL dataset manifest"),
+    "eval-manifest": dict(help="explicit test manifest"),
+    "checkpoint": dict(help="model checkpoint path"),
+    "out": dict(help="output file or directory"),
+    "batch-size": dict(type=int),
+    "lr": dict(type=float, help="initial learning rate"),
+    "decay-base": dict(type=float),
+    "decay-every": dict(type=int),
+    "epochs": dict(type=int),
+    "eval-every": dict(type=int),
+    "holdout": dict(type=float, help="fraction held out for testing"),
+    "n": dict(type=int, help="sample count"),
+    "mix": dict(help="regime proportions a,b,c,d (must sum to 1)"),
+    "image": dict(help="PPM image path"),
+    "text": dict(help="raw text"),
+    "history": dict(help="history.csv written by train"),
+}
+
+# subcommand: (handler, help, the flags the handler reads)
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate the synthetic cross-modal dataset",
+                 "config seed out n mix"),
+    "train": (cmd_train, "train a model and write checkpoints + history",
+              "config seed preset modality embeddings manifest eval-manifest out batch-size lr "
+              "decay-base decay-every epochs eval-every holdout"),
+    "eval": (cmd_eval, "print Prec. Rec. F1 Acc. for a checkpoint",
+             "config seed embeddings manifest checkpoint"),
+    "predict": (cmd_predict, "classify one image + text pair",
+                "config seed embeddings checkpoint image text"),
+    "gradcheck": (cmd_gradcheck, "run the gradient-check suite (tiny presets)", "config seed"),
+    "report": (cmd_report, "render a history CSV as markdown", "history out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dfsn",
-        description="joint visual-textual sentiment classification")
+        prog="dfsn", description="joint visual-textual sentiment classification")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key = value settings file")
-        p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--preset", choices=("full", "tiny"), help="model scale")
-        p.add_argument("--embeddings", help="word-vector file (textual format)")
-        p.add_argument("--manifest", help="JSONL dataset manifest")
-        p.add_argument("--checkpoint", help="model checkpoint path")
-        p.add_argument("--out", help="output file or directory")
-
-    p = sub.add_parser("gen-data", help="generate the synthetic cross-modal dataset")
-    common(p)
-    p.add_argument("--n", type=int, help="sample count")
-    p.add_argument("--mix", help="regime proportions a,b,c,d (must sum to 1)")
-    p.set_defaults(fn=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train a model and write checkpoints + history")
-    common(p)
-    p.add_argument("--modality", choices=MODALITIES)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float, help="initial learning rate")
-    p.add_argument("--decay-base", dest="decay_base", type=float)
-    p.add_argument("--decay-every", dest="decay_every", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--holdout", type=float, help="fraction held out for testing")
-    p.add_argument("--eval-manifest", help="explicit test manifest")
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="print Prec. Rec. F1 Acc. for a checkpoint")
-    common(p)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("predict", help="classify one image + text pair")
-    common(p)
-    p.add_argument("--image", help="PPM image path")
-    p.add_argument("--text", help="raw text")
-    p.set_defaults(fn=cmd_predict)
-
-    p = sub.add_parser("gradcheck", help="run the gradient-check suite (tiny presets)")
-    common(p)
-    p.set_defaults(fn=cmd_gradcheck)
-
-    p = sub.add_parser("report", help="render a history CSV as markdown")
-    common(p)
-    p.add_argument("--history", help="history.csv written by train")
-    p.set_defaults(fn=cmd_report)
-
+    for name, (fn, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument("--" + flag, **FLAGS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     # every loader error type (manifest, word vectors, PPM, checkpoint) is a ValueError

@@ -41,6 +41,14 @@ class CheckpointFormatError(ValueError):
     """Corrupt, mismatched, or unsupported checkpoint file."""
 
 
+def _utf8_lines(fh, path, error):
+    """A UTF-8 text file's lines; a byte that does not decode raises ``error``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 # -- manifests ----------------------------------------------------------------
 
 
@@ -78,7 +86,7 @@ def load_manifest(path) -> Manifest:
     """Read a JSONL manifest: one {id, image, text, label} object per line."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_utf8_lines(fh, path, ManifestError), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -86,6 +94,8 @@ def load_manifest(path) -> Manifest:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+            except (ValueError, RecursionError) as exc:  # a too-long integer, too-deep nesting
+                raise ManifestError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
             if not isinstance(rec, dict):
                 raise ManifestError(f"{path}: line {lineno}: not a JSON object ({type(rec).__name__})")
             for key in ("id", "image", "text", "label"):
@@ -135,8 +145,8 @@ def load_embeddings(path, fallback_seed: int = 0) -> EmbeddingTable:
     """Parse the textual vector format: header "count dim", then
     "word v1 ... v_dim" per line."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
+        lines = _utf8_lines(fh, path, EmbeddingFormatError)
+        parts = next(lines, "").split()
         if len(parts) != 2:
             raise EmbeddingFormatError(f"{path}: line 1: header must be 'count dim'")
         try:
@@ -147,7 +157,7 @@ def load_embeddings(path, fallback_seed: int = 0) -> EmbeddingTable:
             raise EmbeddingFormatError(f"{path}: line 1: bad header values {count} {dim}")
         vectors: dict[str, np.ndarray] = {}
         rows = 0
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
             fields = line.split()
@@ -301,7 +311,7 @@ def load_checkpoint(path) -> FusionModelParams:
         config_bytes = take(config_len)
         try:
             config = config_from_dict(json.loads(config_bytes.decode("utf-8")))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CheckpointFormatError(f"{path}: bad config block ({exc})") from None
         (tensor_count,) = struct.unpack("<I", take(4))
         # a few config bytes can imply any number of parameters: check the

@@ -310,6 +310,22 @@ class TestBackward:
         loss.backward()
         assert np.allclose(t.grad, [4.0, 4.0])
 
+    def test_only_leaves_keep_a_gradient(self):
+        rng = np.random.default_rng(1)
+        w = Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, 2), requires_grad=True)
+        x = Tensor(rng.uniform(-1, 1, (4, 3)))
+        hidden = bias_add(matmul(x, w), b)
+        out = tanh_op(hidden)
+        loss = out.sum()
+        loss.backward()
+        assert hidden.requires_grad and out.requires_grad
+        assert hidden.grad is None and out.grad is None and loss.grad is None
+        assert x.grad is None
+        dh = 1.0 - np.tanh(x.values @ w.values + b.values) ** 2
+        assert np.allclose(w.grad, x.values.T @ dh, rtol=1e-12, atol=0)
+        assert np.allclose(b.grad, dh.sum(axis=0), rtol=1e-12, atol=0)
+
     def test_non_scalar_loss_rejected(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):

@@ -1,5 +1,6 @@
 """Command-line surface: wiring, determinism, config merging, exit codes."""
 
+import argparse
 import json
 import struct
 import zlib
@@ -7,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from dfsn.cli import main, parse_flat_config
+from dfsn.cli import build_parser, main, parse_flat_config
 from dfsn.data import gen_synthetic, save_checkpoint, save_manifest, save_ppm
 from dfsn.model import empty_model, fusion_preset
 
@@ -205,6 +206,40 @@ class TestMalformedInputsExitNonzero:
         assert holdout in stderr
         assert not (tmp_path / "run").exists()
 
+    # a held-out split and an explicit test manifest would each set the test set
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_holdout_with_eval_manifest(self, source, dataset, tmp_path, capsys):
+        manifest = str(dataset / "manifest.jsonl")
+        holdout = ["--holdout", "0.5"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("holdout = 0.5\n")
+            holdout = ["--config", str(cfg)]
+        code, stdout, stderr = run(capsys, "train", "--manifest", manifest,
+                                   "--eval-manifest", manifest, "--out",
+                                   str(tmp_path / "run"), *holdout)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        assert "--eval-manifest" in stderr and "holdout 0.5" in stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["manifest", "embeddings"])
+    def test_non_utf8_file_named_in_error(self, kind, dataset, tmp_path, capsys):
+        manifest = dataset / "manifest.jsonl"
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"1 2\n\xff\xfe 1 2\n")
+        if kind == "manifest":
+            manifest = tmp_path / "latin1.jsonl"
+            manifest.write_bytes(b'{"id": "a", "image": "x", "text": "caf\xe9", "label": 0}\n')
+        code, stdout, stderr = run(capsys, "train", "--manifest", str(manifest),
+                                   "--embeddings", str(vectors), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        bad = manifest if kind == "manifest" else vectors
+        assert str(bad) in stderr and "UTF-8" in stderr
+
     def test_unknown_modality_in_config_file(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("modality = audio\n")
@@ -310,3 +345,48 @@ class TestGradcheckCommand:
         assert code == 0
         assert "PASS fusion_model_end_to_end" in stdout
         assert "FAIL" not in stdout
+
+
+# the flags each command's handler reads; any other flag is a usage error
+ACCEPTED = {
+    "gen-data": {"--config", "--seed", "--out", "--n", "--mix"},
+    "train": {"--config", "--seed", "--preset", "--modality", "--embeddings", "--manifest",
+              "--eval-manifest", "--out", "--batch-size", "--lr", "--decay-base",
+              "--decay-every", "--epochs", "--eval-every", "--holdout"},
+    "eval": {"--config", "--seed", "--embeddings", "--manifest", "--checkpoint"},
+    "predict": {"--config", "--seed", "--embeddings", "--checkpoint", "--image", "--text"},
+    "gradcheck": {"--config", "--seed"},
+    "report": {"--history", "--out"},
+}
+
+# flags every command used to accept without reading them
+REMOVED = [
+    ("gen-data", "--preset"), ("gen-data", "--embeddings"), ("gen-data", "--manifest"),
+    ("gen-data", "--checkpoint"),
+    ("train", "--checkpoint"),
+    ("eval", "--preset"), ("eval", "--out"),
+    ("predict", "--preset"), ("predict", "--manifest"), ("predict", "--out"),
+    ("gradcheck", "--preset"), ("gradcheck", "--embeddings"), ("gradcheck", "--manifest"),
+    ("gradcheck", "--checkpoint"), ("gradcheck", "--out"),
+    ("report", "--config"), ("report", "--seed"), ("report", "--preset"),
+    ("report", "--embeddings"), ("report", "--manifest"), ("report", "--checkpoint"),
+]
+
+
+class TestFlagSurface:
+    def test_each_command_takes_exactly_its_flags(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {opt for action in p._actions for opt in action.option_strings}
+                 - {"-h", "--help"} for name, p in sub.choices.items()}
+        assert flags == ACCEPTED
+        assert sum(map(len, flags.values())) == 35
+
+    @pytest.mark.parametrize("command,flag", REMOVED,
+                             ids=[f"{c}{f}" for c, f in REMOVED])
+    def test_unread_flag_is_a_usage_error(self, command, flag, capsys):
+        value = "tiny" if flag == "--preset" else "1"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

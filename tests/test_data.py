@@ -57,6 +57,12 @@ class TestEmbeddingsLoader:
         with pytest.raises(EmbeddingFormatError, match="promises 3"):
             load_embeddings(path)
 
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(b"1 2\n\xff\xfe 1 2\n")
+        with pytest.raises(EmbeddingFormatError, match="vectors.txt: not UTF-8"):
+            load_embeddings(path)
+
     def test_oov_fallback_attached(self, tmp_path):
         path = self.write(tmp_path, "1 2\nknown 1 2\n")
         table = load_embeddings(path, fallback_seed=3)
@@ -212,6 +218,20 @@ class TestManifestIO:
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "a", "image": "x", "text": "t", "label": %s}\n' % label)
         with pytest.raises(ManifestError, match="label must be 0 or 1"):
+            load_manifest(path)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"id": "a", "image": "x", "text": "caf\xff", "label": 0}\n')
+        with pytest.raises(ManifestError, match="m.jsonl: not UTF-8"):
+            load_manifest(path)
+
+    # json.loads raises a bare ValueError for the first and RecursionError for the second
+    @pytest.mark.parametrize("value", ["1" * 5000, "[" * 100000], ids=["long-int", "deep"])
+    def test_json_the_decoder_refuses(self, tmp_path, value):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a", "image": "x", "text": "t", "label": %s}\n' % value)
+        with pytest.raises(ManifestError, match="line 1: invalid JSON"):
             load_manifest(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
@@ -380,6 +400,17 @@ class TestCheckpoint:
         blob = path.read_bytes()
         (config_len,) = struct.unpack_from("<I", blob, 7)
         body = blob[:7] + struct.pack("<I", 2) + b"[]" + blob[11 + config_len:-4]
+        path.write_bytes(with_crc(body))
+        with pytest.raises(CheckpointFormatError, match="bad config block"):
+            load_checkpoint(path)
+
+    def test_config_block_nested_too_deep(self, tmp_path):
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=15), path)
+        blob = path.read_bytes()
+        (config_len,) = struct.unpack_from("<I", blob, 7)
+        block = b"[" * 100000
+        body = blob[:7] + struct.pack("<I", len(block)) + block + blob[11 + config_len:-4]
         path.write_bytes(with_crc(body))
         with pytest.raises(CheckpointFormatError, match="bad config block"):
             load_checkpoint(path)
