@@ -43,8 +43,9 @@ class CliError(Exception):
 def parse_flat_config(path) -> dict:
     """Flat key = value file; '#' starts a comment, values may be quoted."""
     out = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = list(dio.utf8_lines(fh, path, CliError))
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -74,6 +75,21 @@ def parse_flat_config(path) -> dict:
     return out
 
 
+def _setting_value(path, key: str, value):
+    """A config-file value as the type of its setting's default, or a
+    ``CliError`` naming the file."""
+    kind = type(CONFIG_DEFAULTS[key])
+    if kind is str:
+        return str(value)
+    # no bool as a number, and no float silently truncated to an int
+    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    raise CliError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
+
+
 def resolve_settings(args: argparse.Namespace) -> dict:
     """Merge defaults, then the config file, then explicit flags."""
     settings = dict(CONFIG_DEFAULTS)
@@ -82,7 +98,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         unknown = set(file_values) - set(CONFIG_DEFAULTS)
         if unknown:
             raise CliError(f"{args.config}: unknown settings {sorted(unknown)}")
-        settings.update(file_values)
+        settings.update({key: _setting_value(args.config, key, value)
+                         for key, value in file_values.items()})
     for key in CONFIG_DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -100,7 +117,7 @@ def _load_table(config: FusionConfig, path, seed: int) -> Optional[EmbeddingTabl
         return EmbeddingTable(dim=dim, fallback_seed=seed)
     table = dio.load_embeddings(path, fallback_seed=seed)
     if table.dim != dim:
-        raise CliError(f"embedding file dimension {table.dim} != model dimension {dim}")
+        raise CliError(f"{path}: embedding dimension {table.dim} != model dimension {dim}")
     return table
 
 
@@ -226,11 +243,12 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     if args.history is None:
         raise CliError("report needs --history")
-    csv_text = Path(args.history).read_text(encoding="utf-8")
+    with open(args.history, "r", encoding="utf-8") as fh:
+        csv_text = "".join(dio.utf8_lines(fh, args.history, CliError))
     try:
         rendered = render_history_markdown(csv_text)
     except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"{args.history}: {exc}") from None
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
         print(args.out)

@@ -41,7 +41,7 @@ class CheckpointFormatError(ValueError):
     """Corrupt, mismatched, or unsupported checkpoint file."""
 
 
-def _utf8_lines(fh, path, error):
+def utf8_lines(fh, path, error):
     """A UTF-8 text file's lines; a byte that does not decode raises ``error``."""
     try:
         yield from fh
@@ -86,7 +86,7 @@ def load_manifest(path) -> Manifest:
     """Read a JSONL manifest: one {id, image, text, label} object per line."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(_utf8_lines(fh, path, ManifestError), start=1):
+        for lineno, line in enumerate(utf8_lines(fh, path, ManifestError), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -145,7 +145,7 @@ def load_embeddings(path, fallback_seed: int = 0) -> EmbeddingTable:
     """Parse the textual vector format: header "count dim", then
     "word v1 ... v_dim" per line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _utf8_lines(fh, path, EmbeddingFormatError)
+        lines = utf8_lines(fh, path, EmbeddingFormatError)
         parts = next(lines, "").split()
         if len(parts) != 2:
             raise EmbeddingFormatError(f"{path}: line 1: header must be 'count dim'")

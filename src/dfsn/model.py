@@ -17,8 +17,8 @@ from .autodiff import (Tensor, ShapeError, bias_add, check_int, concat, matmul, 
                        softmax_cross_entropy, stable_softmax)
 from .image import (ConvStackConfig, ConvLayerSpec, ImageBranchParams,
                     encode_image, image_preset, init_image_params, preprocess_image)
-from .text import (EmbeddingTable, TextBranchParams, TextConfig, embed_sentence,
-                   encode_sentence_matrix, init_text_params, text_preset, tokenize)
+from .text import (EmbeddingTable, TextBranchParams, TextConfig, encode_sentence_matrix,
+                   gather_sentence_rows, init_text_params, text_preset, tokenize)
 
 MODALITIES = ("fused", "image", "text")
 
@@ -201,8 +201,8 @@ def encode_inputs(images: Sequence, token_lists: Sequence, params: FusionModelPa
             raise ValueError("model needs a text input")
         if table is None:
             raise ValueError("text encoding needs an embedding table")
-        sms = [embed_sentence(tokens, table, cfg.text.max_len) for tokens in token_lists]
-        parts.append(encode_sentence_matrix(sms, params.text_params))
+        rows, lengths = gather_sentence_rows(token_lists, table, cfg.text)
+        parts.append(encode_sentence_matrix(rows, lengths, params.text_params))
     return fuse(*parts) if len(parts) == 2 else parts[0]
 
 

@@ -1,9 +1,11 @@
 """Text branch: tokens to the textual sentiment representation.
 
-A sentence becomes a fixed-size matrix of static word vectors, windowed
-filters slide over it at several widths, and each filter's feature map is
-pooled into [max, mean, min]. The concatenation of those pooled triples is
-the text feature vector.
+Static word vectors live as the rows of one float64 matrix in the
+``EmbeddingTable``. A sentence becomes a list of row ids, and a batch's token
+rows come from one gather over the ids of all its sentences. Windowed
+filters slide over each sentence's rows at several widths, and each filter's
+feature map is pooled into [max, mean, min]. The concatenation of those
+pooled triples is the text feature vector.
 """
 
 from __future__ import annotations
@@ -54,9 +56,15 @@ def oov_vector(word: str, dim: int, seed: int = 0) -> np.ndarray:
 
 
 class EmbeddingTable:
-    """Word to k-vector map with a deterministic out-of-vocabulary fallback.
+    """Word vectors as the rows of one (rows, dim) float64 matrix, with a
+    deterministic out-of-vocabulary fallback.
 
-    Vectors are frozen: nothing here ever receives a gradient.
+    Row 0 is the zero padding row and no word maps to it. The words given at
+    construction (the vector file's) take rows 1..len(table) in order; an
+    unknown word gets its ``oov_vector`` row appended on first lookup, so its
+    values do not depend on the order words are first seen. Storage doubles
+    when full, so appends are amortised. Vectors are frozen: nothing here ever
+    receives a gradient.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM, vectors: Optional[dict[str, np.ndarray]] = None,
@@ -64,31 +72,44 @@ class EmbeddingTable:
         if dim < 1:
             raise ValueError(f"embedding dimension must be positive, got {dim}")
         self.dim = dim
-        self.vectors: dict[str, np.ndarray] = {}
-        if vectors:
-            for word, vec in vectors.items():
-                arr = np.asarray(vec, dtype=np.float64)
-                if arr.shape != (dim,):
-                    raise ValueError(f"vector for {word!r} has shape {arr.shape}, expected ({dim},)")
-                self.vectors[word] = arr
         self.fallback_seed = fallback_seed
-        self._fallback_cache: dict[str, np.ndarray] = {}
+        vectors = vectors or {}
+        self._storage = np.zeros((1 + len(vectors), dim), dtype=np.float64)
+        self._rows: dict[str, int] = {}
+        for row, (word, vec) in enumerate(vectors.items(), start=1):
+            arr = np.asarray(vec, dtype=np.float64)
+            if arr.shape != (dim,):
+                raise ValueError(f"vector for {word!r} has shape {arr.shape}, expected ({dim},)")
+            self._storage[row] = arr
+            self._rows[word] = row
+        self._loaded = len(self._rows)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self._loaded
 
     def __contains__(self, word: str) -> bool:
-        return word in self.vectors
+        return 0 < self._rows.get(word, 0) <= self._loaded
 
-    def lookup(self, word: str) -> np.ndarray:
-        vec = self.vectors.get(word)
-        if vec is not None:
-            return vec
-        cached = self._fallback_cache.get(word)
-        if cached is None:
-            cached = oov_vector(word, self.dim, self.fallback_seed)
-            self._fallback_cache[word] = cached
-        return cached
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (rows in use, dim) float64 rows that row ids index. Read it after
+        ``row_ids``: appending a row may move the storage."""
+        return self._storage[:1 + len(self._rows)]
+
+    def row_ids(self, tokens: Sequence[str]) -> list[int]:
+        """Each token's row, appending the row of a word seen for the first time."""
+        rows = self._rows
+        return [rows.get(word) or self._append(word) for word in tokens]
+
+    def _append(self, word: str) -> int:
+        row = 1 + len(self._rows)
+        if row == len(self._storage):
+            grown = np.zeros((2 * row, self.dim), dtype=np.float64)
+            grown[:row] = self._storage
+            self._storage = grown
+        self._storage[row] = oov_vector(word, self.dim, self.fallback_seed)
+        self._rows[word] = row
+        return row
 
 
 @dataclass
@@ -103,22 +124,16 @@ class SentenceMatrix:
     matrix: np.ndarray
     n: int
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
 
 def embed_sentence(tokens: Sequence[str], table: EmbeddingTable,
                    max_len: int = DEFAULT_MAX_LEN) -> SentenceMatrix:
-    """Stack per-token vectors in order, truncating and zero-padding to max_len.
+    """One sentence's rows gathered from the table in token order, truncated
+    and zero-padded to max_len.
 
     Zero padding rows are neutral under the dot products the filters take.
     """
-    n = min(len(tokens), max_len)
-    matrix = np.zeros((max_len, table.dim), dtype=np.float64)
-    for i in range(n):
-        matrix[i] = table.lookup(tokens[i])
-    return SentenceMatrix(matrix=matrix, n=n)
+    ids = table.row_ids(tokens[:max_len])
+    return SentenceMatrix(matrix=table.matrix[ids + [0] * (max_len - len(ids))], n=len(ids))
 
 
 @dataclass(frozen=True)
@@ -216,29 +231,49 @@ def text_feature_maps(sm: SentenceMatrix, params: TextBranchParams) -> dict[int,
     return {h: _filter_map(sm.matrix[:max(sm.n, h)], h, params) for h in params.config.widths}
 
 
-def encode_sentence_matrix(sms: Sequence[SentenceMatrix], params: TextBranchParams) -> Tensor:
-    """Text branch from a batch of embedded sentences to an (N, features) tensor.
+def gather_sentence_rows(token_lists: Sequence[Sequence[str]], table: EmbeddingTable,
+                         config: TextConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's stacked float64 token rows and its true lengths, in one gather.
 
-    Each row has 3 * filters_per_width * len(widths) features, laid out
-    width-ascending then filter-index-ascending, each filter contributing
-    its [max, mean, min] block. Each width runs its filters once over all
-    windows of the stacked sentence rows; a sentence pools only its own
-    windows (those ``text_feature_maps`` gives it), never one that straddles
-    two sentences or reaches past a short sentence's single padded window.
+    Each sentence is truncated to ``config.max_len`` and padded with zero
+    rows to its span, max(n, widest filter width): the rows
+    ``encode_sentence_matrix`` reads.
+    """
+    ids: list[int] = []
+    lengths = []
+    for tokens in token_lists:
+        row = table.row_ids(tokens[:config.max_len])
+        ids += row
+        ids += [0] * (config.widths[-1] - len(row))
+        lengths.append(len(row))
+    return table.matrix[ids], np.array(lengths, dtype=np.intp)
+
+
+def encode_sentence_matrix(tokens: np.ndarray, lengths: np.ndarray,
+                           params: TextBranchParams) -> Tensor:
+    """Text branch from a batch's stacked token rows to an (N, features) tensor.
+
+    ``tokens`` holds each sentence's rows padded to its span, max(n, widest
+    width), one sentence after another, as ``gather_sentence_rows`` lays
+    them out; ``lengths`` holds each true length n. Each row has
+    3 * filters_per_width * len(widths) features, laid out width-ascending
+    then filter-index-ascending, each filter contributing its [max, mean, min]
+    block. Each width runs its filters once over all windows of the stacked
+    rows; a sentence pools only its own windows (those ``text_feature_maps``
+    gives it), never one that straddles two sentences or reaches past a short
+    sentence's single padded window.
     """
     cfg = params.config
-    if any(sm.dim != cfg.dim for sm in sms):
-        raise ShapeError(f"sentence matrix dims {sorted({sm.dim for sm in sms})} != "
-                         f"text branch dim {cfg.dim}")
-    spans = np.array([max(sm.n, cfg.widths[-1]) for sm in sms])
+    spans = np.maximum(lengths, cfg.widths[-1])
+    if tokens.shape != (spans.sum(), cfg.dim):
+        raise ShapeError(f"token rows {tokens.shape} != ({spans.sum()}, {cfg.dim}): the "
+                         f"spans of {len(lengths)} sentences at text branch dim {cfg.dim}")
     # cast once: a float32 model's text branch and head run float32
-    tokens = np.concatenate([sm.matrix[:span] for sm, span in zip(sms, spans)],
-                            dtype=params.weights[cfg.widths[0]].dtype)
+    tokens = tokens.astype(params.weights[cfg.widths[0]].dtype, copy=False)
     starts = np.cumsum(spans) - spans
-    lengths = np.array([sm.n for sm in sms])
     blocks = []
     for h in cfg.widths:
         counts = np.maximum(lengths, h) - h + 1
         pooled = triple_pool_columns(_filter_map(tokens, h, params), starts, counts)  # (N, F, 3)
-        blocks.append(pooled.reshape(len(sms), -1))
+        blocks.append(pooled.reshape(len(lengths), -1))
     return concat(blocks, axis=1)

@@ -240,6 +240,17 @@ class TestMalformedInputsExitNonzero:
         bad = manifest if kind == "manifest" else vectors
         assert str(bad) in stderr and "UTF-8" in stderr
 
+    def test_embedding_dimension_mismatch_names_the_file(self, zero_checkpoint, tmp_path,
+                                                          capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("1 2\nhi 1 2\n")
+        code, stdout, stderr = run(capsys, "eval", "--checkpoint", str(zero_checkpoint),
+                                   "--manifest", str(tmp_path / "unused.jsonl"),
+                                   "--embeddings", str(vectors))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: {vectors}: embedding dimension 2 != model dimension")
+
     def test_unknown_modality_in_config_file(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("modality = audio\n")
@@ -297,6 +308,15 @@ class TestReport:
         history.write_text("garbage line\n")
         code, _, stderr = run(capsys, "report", "--history", str(history))
         assert code != 0
+        assert stderr.startswith(f"error: {history}: history line 1")
+
+    def test_non_utf8_history_named_in_error(self, tmp_path, capsys):
+        history = tmp_path / "history.csv"
+        history.write_bytes(b"step,0,0.0001,0.69\ncaf\xe9\n")
+        code, stdout, stderr = run(capsys, "report", "--history", str(history))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: {history}: not UTF-8 text (")
 
 
 class TestConfigFile:
@@ -329,6 +349,33 @@ class TestConfigFile:
         code, _, stderr = run(capsys, "gradcheck", "--config", str(cfg))
         assert code != 0
         assert "bogus" in stderr
+
+    def test_non_utf8_config_named_in_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# caf\xe9\nseed = 1\n")
+        code, stdout, stderr = run(capsys, "gradcheck", "--config", str(cfg))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: {cfg}: not UTF-8 text (")
+
+    @pytest.mark.parametrize("line", ["seed = 3x", "seed = 1.5", "seed = true",
+                                      "lr = 'fast'", "holdout = false"])
+    def test_mistyped_value_named_in_error(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, stdout, stderr = run(capsys, "gradcheck", "--config", str(cfg))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: {cfg}: {line.split()[0]} must be ")
+
+    def test_values_take_their_settings_types(self, tmp_path):
+        from dfsn.cli import resolve_settings
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = '7'\nlr = 1\nmix = 1\n")
+        settings = resolve_settings(argparse.Namespace(config=str(cfg)))
+        assert (settings["seed"], settings["lr"], settings["mix"]) == (7, 1.0, "1")
+        assert type(settings["lr"]) is float
 
     def test_missing_equals_rejected(self, tmp_path):
         from dfsn.cli import CliError

@@ -35,7 +35,8 @@ class TestEmbeddingsLoader:
     def test_parse_fidelity(self, tmp_path):
         path = self.write(tmp_path, "1 4\nword 0.25 -1.5 3e-2 7\n")
         table = load_embeddings(path)
-        assert table.lookup("word").tolist() == [0.25, -1.5, 0.03, 7.0]
+        row = table.row_ids(["word"])[0]
+        assert table.matrix[row].tolist() == [0.25, -1.5, 0.03, 7.0]
 
     def test_short_line_names_line_number(self, tmp_path):
         path = self.write(tmp_path, "2 3\nok 1 2 3\nbad 1 2\n")
@@ -66,7 +67,8 @@ class TestEmbeddingsLoader:
     def test_oov_fallback_attached(self, tmp_path):
         path = self.write(tmp_path, "1 2\nknown 1 2\n")
         table = load_embeddings(path, fallback_seed=3)
-        vec = table.lookup("unknown")
+        row = table.row_ids(["unknown"])[0]
+        vec = table.matrix[row]
         assert vec.shape == (2,)
         assert np.all(np.abs(vec) <= 0.25)
 

@@ -4,14 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dfsn.autodiff import Tensor, backward, triple_pool
+from dfsn.autodiff import ShapeError, Tensor, backward, triple_pool
 from dfsn.gradcheck import grad_check
 from dfsn.text import (EmbeddingTable, TextBranchParams, TextConfig,
-                       embed_sentence, encode_sentence_matrix,
+                       embed_sentence, encode_sentence_matrix, gather_sentence_rows,
                        init_text_params, oov_vector, text_feature_maps,
                        text_preset, tokenize)
 
 from oracles import text_windows_loops
+
+
+def vector(table, word):
+    """The table row a word maps to."""
+    row = table.row_ids([word])[0]  # before reading ``matrix``: an append may move it
+    return table.matrix[row]
+
+
+def encode_batch(token_lists, table, params):
+    """The text branch on a batch of token lists, as the model runs it."""
+    rows, lengths = gather_sentence_rows(token_lists, table, params.config)
+    return encode_sentence_matrix(rows, lengths, params)
 
 
 class TestTokenize:
@@ -34,17 +46,17 @@ class TestTokenize:
 class TestEmbeddingTable:
     def test_known_word_returns_stored_vector(self):
         table = EmbeddingTable(dim=3, vectors={"sun": np.array([1.0, 2.0, 3.0])})
-        assert table.lookup("sun").tolist() == [1.0, 2.0, 3.0]
+        assert vector(table, "sun").tolist() == [1.0, 2.0, 3.0]
 
     def test_oov_is_deterministic_across_tables(self):
         a = EmbeddingTable(dim=8, fallback_seed=5)
         b = EmbeddingTable(dim=8, fallback_seed=5)
-        assert np.array_equal(a.lookup("zzyzx"), b.lookup("zzyzx"))
+        assert np.array_equal(vector(a, "zzyzx"), vector(b, "zzyzx"))
 
     def test_oov_depends_on_seed(self):
         a = EmbeddingTable(dim=8, fallback_seed=5)
         b = EmbeddingTable(dim=8, fallback_seed=6)
-        assert not np.array_equal(a.lookup("zzyzx"), b.lookup("zzyzx"))
+        assert not np.array_equal(vector(a, "zzyzx"), vector(b, "zzyzx"))
 
     def test_oov_range(self):
         vec = oov_vector("anything", 64, seed=1)
@@ -54,6 +66,31 @@ class TestEmbeddingTable:
     def test_wrong_vector_length_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingTable(dim=3, vectors={"x": np.zeros(4)})
+
+    def test_oov_rows_do_not_depend_on_lookup_order(self):
+        words = [f"unseen{i}" for i in range(40)]
+        a = EmbeddingTable(dim=5, vectors={"known": np.ones(5)}, fallback_seed=2)
+        b = EmbeddingTable(dim=5, vectors={"known": np.ones(5)}, fallback_seed=2)
+        a.row_ids(words)
+        b.row_ids(words[::-1])
+        assert a.row_ids(["unseen0"]) != b.row_ids(["unseen0"])
+        for word in words + ["known"]:
+            assert vector(a, word).tobytes() == vector(b, word).tobytes()
+
+    def test_padding_row_stays_zero_and_unmapped(self):
+        table = EmbeddingTable(dim=3, vectors={"a": np.ones(3), "b": -np.ones(3)})
+        ids = table.row_ids(["a", "b"] + [f"w{i}" for i in range(100)] + ["a", "w7"])
+        assert 0 not in ids
+        assert len(set(ids)) == 102
+        assert table.matrix.shape == (103, 3)
+        assert np.all(table.matrix[0] == 0.0)
+
+    def test_length_and_membership_count_loaded_words_only(self):
+        table = EmbeddingTable(dim=2, vectors={"a": np.ones(2), "b": np.zeros(2)})
+        table.row_ids(["a", "oov", "other"])
+        assert len(table) == 2
+        assert "a" in table and "b" in table
+        assert "oov" not in table
 
 
 class TestEmbedSentence:
@@ -180,13 +217,13 @@ class TestBatchedText:
         params = init_text_params(cfg, rng, dtype=np.float64)
         table = EmbeddingTable(dim=3, fallback_seed=4)
         # for width 3: n = 0, n < h, n = h, n = max_len, and one in between
-        sms = [embed_sentence([f"w{n}_{i}" for i in range(n)], table, max_len=8)
-               for n in (0, 2, 3, 8, 5)]
-        return params, sms
+        token_lists = [[f"w{n}_{i}" for i in range(n)] for n in (0, 2, 3, 8, 5)]
+        sms = [embed_sentence(tokens, table, max_len=8) for tokens in token_lists]
+        return params, table, token_lists, sms
 
     def test_ragged_batch_matches_loop_oracle_per_sentence(self):
-        params, sms = self.make()
-        batched = encode_sentence_matrix(sms, params).values
+        params, table, token_lists, sms = self.make()
+        batched = encode_batch(token_lists, table, params).values
         for j, sm in enumerate(sms):
             want = []
             for h in params.config.widths:
@@ -196,24 +233,56 @@ class TestBatchedText:
             assert np.allclose(batched[j], np.ravel(want), atol=1e-12)
 
     def test_batch_rows_equal_batches_of_one(self):
-        params, sms = self.make()
-        batched = encode_sentence_matrix(sms, params).values
+        params, table, token_lists, sms = self.make()
+        batched = encode_batch(token_lists, table, params).values
         assert batched.shape == (len(sms), params.config.feature_size)
-        for j, sm in enumerate(sms):
-            assert np.allclose(batched[j], encode_sentence_matrix([sm], params).values[0],
+        for j, tokens in enumerate(token_lists):
+            assert np.allclose(batched[j], encode_batch([tokens], table, params).values[0],
                                atol=1e-12)
 
     def test_batch_gradient_is_sum_of_sentence_gradients(self):
-        params, sms = self.make()
+        params, table, token_lists, sms = self.make()
         proj = np.random.default_rng(13).uniform(0.5, 1.5, (len(sms), 18))
-        backward((encode_sentence_matrix(sms, params) * Tensor(proj)).sum())
+        backward((encode_batch(token_lists, table, params) * Tensor(proj)).sum())
         batched = {h: params.weights[h].grad.copy() for h in params.config.widths}
         for h in params.config.widths:
             params.weights[h].zero_grad()
-        for j, sm in enumerate(sms):
-            backward((encode_sentence_matrix([sm], params) * Tensor(proj[j:j + 1])).sum())
+        for j, tokens in enumerate(token_lists):
+            backward((encode_batch([tokens], table, params) * Tensor(proj[j:j + 1])).sum())
         for h in params.config.widths:
             assert np.allclose(batched[h], params.weights[h].grad, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gathered_rows_equal_stacked_sentence_matrices(self, dtype):
+        cfg = TextConfig(dim=4, max_len=6, widths=(2, 3), filters_per_width=2)
+        params = init_text_params(cfg, np.random.default_rng(14), dtype=dtype)
+        table = EmbeddingTable(dim=4, vectors={"sun": np.linspace(-1.0, 1.0, 4)},
+                               fallback_seed=8)
+        # longer than max_len, shorter than the widest filter, empty, in between
+        token_lists = [[f"t{i}" for i in range(9)], ["sun", "x"], [], ["sun", "a", "b", "sun"]]
+        rows, lengths = gather_sentence_rows(token_lists, table, cfg)
+        sms = [embed_sentence(tokens, table, cfg.max_len) for tokens in token_lists]
+        assert lengths.tolist() == [sm.n for sm in sms] == [6, 2, 0, 4]
+        # the first two spans from first principles: 6 truncated OOV rows, then sun, x, pad
+        assert np.array_equal(rows[:6], np.stack([oov_vector(f"t{i}", 4, 8) for i in range(6)]))
+        assert np.array_equal(rows[6:9], np.stack([np.linspace(-1.0, 1.0, 4),
+                                                   oov_vector("x", 4, 8), np.zeros(4)]))
+        stacked = np.concatenate([sm.matrix[:max(sm.n, cfg.widths[-1])] for sm in sms])
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == stacked.tobytes()
+        assert rows.astype(dtype).tobytes() == stacked.astype(dtype).tobytes()
+        got = encode_sentence_matrix(rows, lengths, params).values
+        assert got.dtype == dtype
+        assert got.tobytes() == encode_sentence_matrix(stacked, lengths, params).values.tobytes()
+
+    def test_rows_of_wrong_shape_rejected(self):
+        params, table, token_lists, _ = self.make()
+        rows, lengths = gather_sentence_rows(token_lists, table, params.config)
+        with pytest.raises(ShapeError):
+            encode_sentence_matrix(rows[:-1], lengths, params)
+        rows, lengths = gather_sentence_rows(token_lists, EmbeddingTable(dim=4), params.config)
+        with pytest.raises(ShapeError, match="text branch dim 3"):
+            encode_sentence_matrix(rows, lengths, params)
 
     def test_max_len_must_hold_widest_window(self):
         with pytest.raises(ValueError, match="widest"):
@@ -232,8 +301,7 @@ class TestBatchedText:
 def _encode(text, table, params):
     """Tokenize, embed, and run the text branch on a batch of one, as the
     model does; returns that one sentence's feature row."""
-    sm = embed_sentence(tokenize(text), table, params.config.max_len)
-    return encode_sentence_matrix([sm], params).reshape(-1)
+    return encode_batch([tokenize(text)], table, params).reshape(-1)
 
 
 class TestEncodeText:
@@ -278,22 +346,24 @@ class TestEncodeText:
     def test_embedding_table_stays_frozen(self):
         _, params, table = self.make(filters=1, seed=6)
         tokens = tokenize("gradient should not reach the table")
-        sm = embed_sentence(tokens, table, params.config.max_len)
-        before = sm.matrix.copy()
-        x = encode_sentence_matrix([sm], params)
+        rows, lengths = gather_sentence_rows([tokens], table, params.config)
+        before = rows.copy()
+        table_before = table.matrix.copy()
+        x = encode_sentence_matrix(rows, lengths, params)
         backward((x * Tensor(np.arange(1.0, 10.0).reshape(1, 9))).sum())
         for h in (3, 4, 5):
             assert params.weights[h].grad is not None
-        assert np.array_equal(sm.matrix, before)
+        assert np.array_equal(rows, before)
+        assert np.array_equal(table.matrix, table_before)
 
     def test_filter_gradient_matches_finite_differences(self):
         _, params, table = self.make(filters=1, seed=7)
         tokens = tokenize("six words are enough for this probe")
-        sm = embed_sentence(tokens, table, params.config.max_len)
+        rows, lengths = gather_sentence_rows([tokens], table, params.config)
         proj = Tensor(np.linspace(0.5, 1.5, 9).reshape(1, 9))
 
         def fn(*_):
-            return (encode_sentence_matrix([sm], params) * proj).sum()
+            return (encode_sentence_matrix(rows, lengths, params) * proj).sum()
 
         inputs = [params.weights[3], params.biases[3], params.weights[5]]
         report = grad_check(fn, inputs, eps=1e-4, tol=1e-5, smooth_only=True)

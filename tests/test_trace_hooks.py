@@ -15,6 +15,8 @@ import pytest
 
 import dfsn.autodiff
 import dfsn.cli  # noqa: F401  (imports every module the tracer wraps)
+import dfsn.model
+import dfsn.text
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -60,3 +62,29 @@ def test_install_then_uninstall_restores_every_binding():
     finally:
         t.uninstall()
     assert {name: getattr(dfsn.autodiff, name) for name in tracer.OP_FUNCS} == before
+
+
+def test_model_holds_the_text_span_functions_by_name():
+    # the tracer rebinds by identity in module namespaces: an import inside a
+    # function would bypass the wrapper and leave the span silently empty
+    assert dfsn.model.encode_sentence_matrix is dfsn.text.encode_sentence_matrix
+
+
+def test_batch_loss_records_a_text_span():
+    config = dfsn.model.FusionConfig(
+        image=None, hidden1=4, hidden2=3,
+        text=dfsn.text.TextConfig(dim=3, max_len=8, widths=(2, 3), filters_per_width=2))
+    params = dfsn.model.init_model(config, seed=0)
+    table = dfsn.text.EmbeddingTable(dim=3)
+    batch = [dfsn.model.ModelSample(image=None, tokens=["a", "tiny", "sentence"], label=1),
+             dfsn.model.ModelSample(image=None, tokens=["one"], label=0)]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.phase = "train"
+        dfsn.model.batch_loss(batch, params, table)
+    finally:
+        t.uninstall()
+    names = [span[0] for span in t.spans]
+    assert names.count("model.batch_loss") == 1
+    assert names.count("text.encode_sentence_matrix") == 1
