@@ -1,7 +1,8 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every operation the image branch, the text branch, and the fusion head need
-is implemented here with an explicit backward rule. Arrays are numpy-backed,
+is implemented here with an explicit backward rule, beside the one holder and
+init rule of every layer's weight and bias. Arrays are numpy-backed,
 and each op computes in ``np.result_type`` of its operands: a float32 model runs
 float32 arithmetic, a float64 one (what the finite-difference checks use)
 float64. Matrix products cast both operands to that type first, since numpy
@@ -11,7 +12,9 @@ accumulate in float64.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -219,6 +222,50 @@ def backward(loss: Tensor) -> None:
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
         t.zero_grad()
+
+
+# -- layer parameters --------------------------------------------------------
+
+
+@dataclass
+class LayerParams:
+    """One weight and one bias per layer of a stack, keyed by the layer's id:
+    the number in its tensor names ``{prefix}{id}.weight`` and ``.bias``."""
+
+    config: object
+    prefix: str
+    weights: dict[int, Tensor] = field(default_factory=dict)
+    biases: dict[int, Tensor] = field(default_factory=dict)
+
+    def named_tensors(self) -> dict[str, Tensor]:
+        """Weight then bias of each layer, in layer order: the checkpoint order."""
+        out = {}
+        for i, w in self.weights.items():
+            out[f"{self.prefix}{i}.weight"] = w
+            out[f"{self.prefix}{i}.bias"] = self.biases[i]
+        return out
+
+
+def init_layers(config, prefix: str, layers, rng: Optional[np.random.Generator],
+                dtype) -> LayerParams:
+    """Parameters for ``layers``, a list of (id, weight shape, bias shape).
+
+    Weights are drawn in list order from uniform [-a, a] with
+    a = sqrt(6 / (fan_in + fan_out)) (Glorot & Bengio, 2010), where
+    fan_in + fan_out = (shape[0] + shape[1]) * prod(shape[2:]) for dense
+    (in, out) and conv (out, in, kh, kw) weights alike. Biases are zero. With
+    ``rng`` None every weight is zero too and nothing is drawn.
+    """
+    params = LayerParams(config, prefix)
+    for i, w_shape, b_shape in layers:
+        if rng is None:
+            w = np.zeros(w_shape, dtype)
+        else:
+            a = np.sqrt(6.0 / ((w_shape[0] + w_shape[1]) * math.prod(w_shape[2:])))
+            w = rng.uniform(-a, a, size=w_shape).astype(dtype)
+        params.weights[i] = Tensor(w, requires_grad=True)
+        params.biases[i] = Tensor(np.zeros(b_shape, dtype), requires_grad=True)
+    return params
 
 
 # -- elementwise and structural ops -----------------------------------------

@@ -91,7 +91,8 @@ def _setting_value(path, key: str, value):
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """Merge defaults, then the config file, then explicit flags."""
+    """Merge defaults, then the config file, then explicit flags; the seed
+    must lie in [0, 2**64)."""
     settings = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         file_values = parse_flat_config(args.config)
@@ -104,6 +105,10 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
+    seed = settings["seed"]
+    if not 0 <= seed < 2**64:
+        source = "--seed" if getattr(args, "seed", None) is not None else f"{args.config}: seed"
+        raise CliError(f"{source} must be in [0, 2**64), got {seed}")
     return settings
 
 

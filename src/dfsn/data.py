@@ -414,6 +414,8 @@ def _polar_text(rng: np.random.Generator, positive: bool) -> list[str]:
 def _regime_counts(n: int, mix: Sequence[float]) -> list[int]:
     if len(mix) != 4:
         raise ValueError(f"regime mix needs 4 proportions, got {len(mix)}")
+    if not all(math.isfinite(p) for p in mix):
+        raise ValueError(f"regime proportions must be finite, got {list(mix)}")
     if any(p < 0 for p in mix):
         raise ValueError("regime proportions must be nonnegative")
     if abs(sum(mix) - 1.0) > 1e-9:
@@ -438,6 +440,8 @@ def gen_synthetic(n: int, regime_mix: Sequence[float] = (0.25, 0.25, 0.25, 0.25)
     cold-dominant, neutral ones gray noise. Image files land under
     ``out_dir/images/``; manifest paths are relative to ``out_dir``.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     counts = _regime_counts(n, regime_mix)
     rng = np.random.default_rng(seed)
     out_dir = Path(out_dir)

@@ -12,14 +12,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, check_int, conv2d, lrn, maxpool2d, relu
+from .autodiff import (LayerParams, Tensor, ShapeError, check_int, conv2d, init_layers, lrn,
+                       maxpool2d, relu)
 
 DEFAULT_CHANNEL_MEAN = (0.5, 0.5, 0.5)
-
-LRN_DEPTH_RADIUS = 2
-LRN_K = 2.0
-LRN_ALPHA = 1e-4
-LRN_BETA = 0.75
 
 
 @dataclass(frozen=True)
@@ -92,13 +88,11 @@ class ConvStackConfig:
         c, h, w = self.layer_shapes()[-1]
         return c * h * w
 
-    def param_shapes(self) -> list[tuple[int, ...]]:
-        """Kernel then bias shape of each layer, in checkpoint order."""
-        shapes, c_in = [], self.in_channels
-        for spec in self.layers:
-            shapes += [(spec.out_channels, c_in, spec.kernel, spec.kernel), (spec.out_channels,)]
-            c_in = spec.out_channels
-        return shapes
+    def param_layers(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+        """(layer number, kernel shape, bias shape) of each layer, in checkpoint order."""
+        c_in = [self.in_channels] + [spec.out_channels for spec in self.layers]
+        return [(i, (spec.out_channels, c_in[i - 1], spec.kernel, spec.kernel),
+                 (spec.out_channels,)) for i, spec in enumerate(self.layers, start=1)]
 
 
 # The "full" stack mirrors the classic 5-layer configuration: 96/256/384/384/256
@@ -192,39 +186,13 @@ def preprocess_image(raw: np.ndarray, side: int = 224,
     return centered.transpose(2, 0, 1).astype(dtype)
 
 
-@dataclass
-class ImageBranchParams:
-    """Learnable kernels and biases, one pair per stack layer."""
-
-    config: ConvStackConfig
-    kernels: list[Tensor]
-    biases: list[Tensor]
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        out = {}
-        for i, (k, b) in enumerate(zip(self.kernels, self.biases), start=1):
-            out[f"image.conv{i}.weight"] = k
-            out[f"image.conv{i}.bias"] = b
-        return out
+def init_image_params(config: ConvStackConfig, rng: Optional[np.random.Generator],
+                      dtype=np.float32) -> LayerParams:
+    """Kernels ``image.conv1`` .. ``image.conv5`` and their biases, by ``init_layers``."""
+    return init_layers(config, "image.conv", config.param_layers(), rng, dtype)
 
 
-def init_image_params(config: ConvStackConfig, rng: np.random.Generator,
-                      dtype=np.float32) -> ImageBranchParams:
-    """Symmetric uniform init for kernels, zero biases."""
-    kernels, biases = [], []
-    shapes = config.param_shapes()
-    for kernel_shape, bias_shape in zip(shapes[::2], shapes[1::2]):
-        c_out, c_in, k, _ = kernel_shape
-        fan_in = c_in * k * k
-        fan_out = c_out * k * k
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=kernel_shape)
-        kernels.append(Tensor(w.astype(dtype), requires_grad=True))
-        biases.append(Tensor(np.zeros(bias_shape, dtype=dtype), requires_grad=True))
-    return ImageBranchParams(config=config, kernels=kernels, biases=biases)
-
-
-def encode_image(img, params: ImageBranchParams) -> Tensor:
+def encode_image(img, params: LayerParams) -> Tensor:
     """Run the stack and flatten each image's final pooling output.
 
     ``img`` is a (3, S, S) image or an (N, 3, S, S) batch, as an array or a
@@ -237,20 +205,17 @@ def encode_image(img, params: ImageBranchParams) -> Tensor:
         raise ShapeError(
             f"input shape {x.shape} != expected "
             f"([N,] {cfg.in_channels}, {cfg.input_side}, {cfg.input_side})")
-    c_in = cfg.in_channels
-    for i, spec in enumerate(cfg.layers, start=1):
-        kern = params.kernels[i - 1]
-        expected = (spec.out_channels, c_in, spec.kernel, spec.kernel)
+    for spec, (i, expected, _) in zip(cfg.layers, cfg.param_layers()):
+        kern = params.weights[i]
         if kern.shape != expected:
             raise ShapeError(f"layer {i}: kernel shape {kern.shape} != {expected}")
         try:
-            x = conv2d(x, kern, params.biases[i - 1], stride=spec.stride, pad=spec.pad)
+            x = conv2d(x, kern, params.biases[i], stride=spec.stride, pad=spec.pad)
             x = relu(x)
             if spec.has_lrn:
-                x = lrn(x, LRN_DEPTH_RADIUS, LRN_K, LRN_ALPHA, LRN_BETA)
+                x = lrn(x)
             if spec.has_pool:
                 x = maxpool2d(x, spec.pool_window, spec.pool_stride)
         except ShapeError as exc:
             raise ShapeError(f"layer {i}: {exc}") from None
-        c_in = spec.out_channels
     return x.reshape(x.shape[:-3] + (-1,))

@@ -8,16 +8,16 @@ which is how the image-only and text-only baselines are trained.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, ShapeError, bias_add, check_int, concat, matmul, relu,
-                       softmax_cross_entropy, stable_softmax)
-from .image import (ConvStackConfig, ConvLayerSpec, ImageBranchParams,
-                    encode_image, image_preset, init_image_params, preprocess_image)
-from .text import (EmbeddingTable, TextBranchParams, TextConfig, encode_sentence_matrix,
+from .autodiff import (LayerParams, Tensor, ShapeError, bias_add, check_int, concat,
+                       init_layers, matmul, relu, softmax_cross_entropy, stable_softmax)
+from .image import (ConvStackConfig, ConvLayerSpec, encode_image, image_preset,
+                    init_image_params, preprocess_image)
+from .text import (EmbeddingTable, TextConfig, encode_sentence_matrix,
                    gather_sentence_rows, init_text_params, text_preset, tokenize)
 
 MODALITIES = ("fused", "image", "text")
@@ -58,18 +58,18 @@ class FusionConfig:
     def fused_size(self) -> int:
         return sum(b.feature_size for b in (self.image, self.text) if b is not None)
 
-    def head_shapes(self) -> list[tuple[int, ...]]:
-        """Weight then bias shape of each fully-connected layer."""
+    def head_layers(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+        """(layer number, weight shape, bias shape) of each fully-connected layer."""
         widths = [self.fused_size, self.hidden1, self.hidden2, NUM_CLASSES]
-        return [shape for fan_in, fan_out in zip(widths[:-1], widths[1:])
-                for shape in ((fan_in, fan_out), (fan_out,))]
+        return [(i, (widths[i - 1], widths[i]), (widths[i],)) for i in range(1, len(widths))]
 
     def param_shapes(self) -> list[tuple[int, ...]]:
-        """Every parameter tensor's shape in checkpoint order: the layout the
-        model is built with, and what a checkpoint's size is checked against
-        before the loader allocates anything."""
-        return [shape for branch in (self.image, self.text) if branch is not None
-                for shape in branch.param_shapes()] + self.head_shapes()
+        """Every parameter tensor's shape in checkpoint order, flattened from
+        the layer lists the model is built from: what a checkpoint's size is
+        checked against before the loader allocates anything."""
+        layers = [layer for branch in (self.image, self.text) if branch is not None
+                  for layer in branch.param_layers()] + self.head_layers()
+        return [shape for _, w_shape, b_shape in layers for shape in (w_shape, b_shape)]
 
 
 def fusion_preset(name: str, modality: str = "fused", dtype: str = "float32") -> FusionConfig:
@@ -90,63 +90,40 @@ class FusionModelParams:
     """All learnable tensors of a model plus the config that shaped them."""
 
     config: FusionConfig
-    image_params: Optional[ImageBranchParams]
-    text_params: Optional[TextBranchParams]
-    fc_weights: list[Tensor] = field(default_factory=list)
-    fc_biases: list[Tensor] = field(default_factory=list)
+    image_params: Optional[LayerParams]
+    text_params: Optional[LayerParams]
+    head: LayerParams
 
     def named_tensors(self) -> dict[str, Tensor]:
         """Stable name -> tensor map; iteration order is the checkpoint order."""
         out: dict[str, Tensor] = {}
-        if self.image_params is not None:
-            out.update(self.image_params.named_tensors())
-        if self.text_params is not None:
-            out.update(self.text_params.named_tensors())
-        for i, (w, b) in enumerate(zip(self.fc_weights, self.fc_biases), start=1):
-            out[f"fc{i}.weight"] = w
-            out[f"fc{i}.bias"] = b
+        for part in (self.image_params, self.text_params, self.head):
+            if part is not None:
+                out.update(part.named_tensors())
         return out
 
     def tensors(self) -> list[Tensor]:
         return list(self.named_tensors().values())
 
 
-class _ZeroDraws:
-    """Init-generator stand-in whose uniform draws are zeros, so ``empty_model``
-    shares ``init_model``'s layout code without making any random draw."""
-
-    def uniform(self, low, high, size) -> np.ndarray:
-        return np.zeros(size)
-
-
 def init_model(config: FusionConfig, seed: int = 0) -> FusionModelParams:
-    """Uniform [-a, a] weights with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
+    """Glorot-uniform weights (``init_layers``), zero biases; image, text and
+    head layers draw from one generator in that order."""
     return _build_model(config, np.random.default_rng(seed))
 
 
 def empty_model(config: FusionConfig) -> FusionModelParams:
     """Same parameter structure as ``init_model`` but all zeros (loader target)."""
-    return _build_model(config, _ZeroDraws())
+    return _build_model(config, None)
 
 
-def _build_model(config: FusionConfig, rng) -> FusionModelParams:
+def _build_model(config: FusionConfig, rng: Optional[np.random.Generator]) -> FusionModelParams:
     dtype = config.np_dtype
-    image_params = None
-    text_params = None
-    if config.image is not None:
-        image_params = init_image_params(config.image, rng, dtype)
-    if config.text is not None:
-        text_params = init_text_params(config.text, rng, dtype)
-    fc_w, fc_b = [], []
-    shapes = config.head_shapes()
-    for weight_shape, bias_shape in zip(shapes[::2], shapes[1::2]):
-        fan_in, fan_out = weight_shape
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=weight_shape)
-        fc_w.append(Tensor(w.astype(dtype), requires_grad=True))
-        fc_b.append(Tensor(np.zeros(bias_shape, dtype=dtype), requires_grad=True))
-    return FusionModelParams(config=config, image_params=image_params,
-                             text_params=text_params, fc_weights=fc_w, fc_biases=fc_b)
+    return FusionModelParams(
+        config=config,
+        image_params=None if config.image is None else init_image_params(config.image, rng, dtype),
+        text_params=None if config.text is None else init_text_params(config.text, rng, dtype),
+        head=init_layers(config, "fc", config.head_layers(), rng, dtype))
 
 
 def fuse(x_i: Tensor, x_t: Tensor) -> Tensor:
@@ -160,10 +137,10 @@ def head_logits(x: Tensor, params: FusionModelParams) -> Tensor:
     """Three fully-connected layers with ReLU between; (N, features) in, (N, 2)
     raw logits out."""
     h = x
-    last = len(params.fc_weights) - 1
-    for i, (w, b) in enumerate(zip(params.fc_weights, params.fc_biases)):
-        h = bias_add(matmul(h, w), b)
-        if i < last:
+    head = params.head
+    for i, w in head.weights.items():
+        h = bias_add(matmul(h, w), head.biases[i])
+        if i < len(head.weights):
             h = relu(h)
     return h
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, ShapeError, bias_add, check_int, concat, tanh_op,
-                       triple_pool_columns, window_filter)
+from .autodiff import (LayerParams, Tensor, ShapeError, bias_add, check_int, concat,
+                       init_layers, tanh_op, triple_pool_columns, window_filter)
 
 DEFAULT_DIM = 200
 DEFAULT_MAX_LEN = 150
@@ -165,10 +165,10 @@ class TextConfig:
         # three pooled values per filter
         return 3 * self.filters_per_width * len(self.widths)
 
-    def param_shapes(self) -> list[tuple[int, ...]]:
-        """Weight then bias shape of each width's filters, in checkpoint order."""
+    def param_layers(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+        """(width, weight shape, bias shape) of each width's filters, in checkpoint order."""
         f = self.filters_per_width
-        return [shape for h in self.widths for shape in ((h * self.dim, f), (f,))]
+        return [(h, (h * self.dim, f), (f,)) for h in self.widths]
 
 
 TEXT_PRESETS = {
@@ -184,37 +184,14 @@ def text_preset(name: str) -> TextConfig:
         raise ValueError(f"unknown text preset {name!r} (have {sorted(TEXT_PRESETS)})") from None
 
 
-@dataclass
-class TextBranchParams:
-    """Learnable filter bank: per width a (h*dim, F) weight and an (F,) bias."""
-
-    config: TextConfig
-    weights: dict[int, Tensor] = field(default_factory=dict)
-    biases: dict[int, Tensor] = field(default_factory=dict)
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        out = {}
-        for h in self.config.widths:
-            out[f"text.w{h}.weight"] = self.weights[h]
-            out[f"text.w{h}.bias"] = self.biases[h]
-        return out
+def init_text_params(config: TextConfig, rng: Optional[np.random.Generator],
+                     dtype=np.float32) -> LayerParams:
+    """Per width h a (h*dim, F) filter bank ``text.w{h}`` and its (F,) bias,
+    by ``init_layers``."""
+    return init_layers(config, "text.w", config.param_layers(), rng, dtype)
 
 
-def init_text_params(config: TextConfig, rng: np.random.Generator,
-                     dtype=np.float32) -> TextBranchParams:
-    """Symmetric uniform init for filters, zero biases."""
-    params = TextBranchParams(config=config)
-    shapes = config.param_shapes()
-    for h, weight_shape, bias_shape in zip(config.widths, shapes[::2], shapes[1::2]):
-        fan_in, f = weight_shape
-        bound = np.sqrt(6.0 / (fan_in + f))
-        w = rng.uniform(-bound, bound, size=weight_shape)
-        params.weights[h] = Tensor(w.astype(dtype), requires_grad=True)
-        params.biases[h] = Tensor(np.zeros(bias_shape, dtype=dtype), requires_grad=True)
-    return params
-
-
-def _filter_map(tokens: np.ndarray, h: int, params: TextBranchParams) -> Tensor:
+def _filter_map(tokens: np.ndarray, h: int, params: LayerParams) -> Tensor:
     """f(w . window + b) for every filter (columns) and every h-row window of
     ``tokens`` (rows), from shift-added per-offset products: no window is
     formed. Differentiable with respect to the filter weights and biases only."""
@@ -222,7 +199,7 @@ def _filter_map(tokens: np.ndarray, h: int, params: TextBranchParams) -> Tensor:
     return tanh_op(pre) if params.config.nonlinearity == "tanh" else pre
 
 
-def text_feature_maps(sm: SentenceMatrix, params: TextBranchParams) -> dict[int, Tensor]:
+def text_feature_maps(sm: SentenceMatrix, params: LayerParams) -> dict[int, Tensor]:
     """Per-width feature maps of one sentence, shape (n - h + 1, F) for width h.
 
     Windows cover the true length only; a sentence shorter than h contributes
@@ -250,7 +227,7 @@ def gather_sentence_rows(token_lists: Sequence[Sequence[str]], table: EmbeddingT
 
 
 def encode_sentence_matrix(tokens: np.ndarray, lengths: np.ndarray,
-                           params: TextBranchParams) -> Tensor:
+                           params: LayerParams) -> Tensor:
     """Text branch from a batch's stacked token rows to an (N, features) tensor.
 
     ``tokens`` holds each sentence's rows padded to its span, max(n, widest

@@ -61,6 +61,22 @@ class TestGenData:
         assert "error" in stderr
         assert stdout == ""
 
+    @pytest.mark.parametrize("mix", ["nan,0,0,1", "inf,0,0,1"])
+    def test_non_finite_mix_exits_nonzero_with_stderr(self, mix, tmp_path, capsys):
+        code, stdout, stderr = run(capsys, "gen-data", "--n", "4", "--mix", mix,
+                                   "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: regime proportions must be finite")
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_non_positive_n_exits_nonzero(self, n, tmp_path, capsys):
+        code, stdout, stderr = run(capsys, "gen-data", "--n", n, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: n must be at least 1, got {n}")
+        assert not (tmp_path / "x" / "manifest.jsonl").exists()
+
 
 class TestTrainEvalPredict:
     def test_train_writes_outputs_and_eval_reads_them(self, dataset, tmp_path, capsys):
@@ -376,6 +392,33 @@ class TestConfigFile:
         settings = resolve_settings(argparse.Namespace(config=str(cfg)))
         assert (settings["seed"], settings["lr"], settings["mix"]) == (7, 1.0, "1")
         assert type(settings["lr"]) is float
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 10**70])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_seed_outside_range_named_in_error(self, source, seed, tmp_path, capsys):
+        out = tmp_path / "gen"
+        argv = ["gen-data", "--n", "3", "--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", str(seed)]
+            named = "--seed"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"seed = {seed}\n")
+            argv += ["--config", str(cfg)]
+            named = f"{cfg}: seed"
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: {named} must be in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    def test_seed_range_ends_below_two_to_the_64(self, tmp_path):
+        from dfsn.cli import resolve_settings
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {2**64 - 1}\n")
+        settings = resolve_settings(argparse.Namespace(config=str(cfg), seed=None))
+        assert settings["seed"] == 2**64 - 1
 
     def test_missing_equals_rejected(self, tmp_path):
         from dfsn.cli import CliError

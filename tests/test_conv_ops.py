@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dfsn.autodiff import (ShapeError, Tensor, capture_switch_signature, conv2d, lrn,
-                           maxpool2d, triple_pool, triple_pool_columns)
+from dfsn.autodiff import (LayerParams, ShapeError, Tensor, capture_switch_signature, conv2d,
+                           lrn, maxpool2d, triple_pool, triple_pool_columns)
 from dfsn.gradcheck import grad_check
-from dfsn.image import ImageBranchParams, encode_image, image_preset, init_image_params
+from dfsn.image import encode_image, image_preset, init_image_params
 
 from oracles import conv2d_loops, lrn_loops, maxpool2d_loops, maxpool2d_picks_loops
 from test_autodiff import assert_dtype_rule
@@ -422,8 +422,9 @@ class TestDtypeRule:
         # measured max |f32 - f64| / max |f64|: 6.5e-7 to 8.1e-7 over 4 seeds
         cfg = image_preset("full")
         p32 = init_image_params(cfg, np.random.default_rng(0), np.float32)
-        p64 = ImageBranchParams(cfg, [Tensor(k.values, dtype=np.float64) for k in p32.kernels],
-                                [Tensor(b.values, dtype=np.float64) for b in p32.biases])
+        p64 = LayerParams(cfg, "image.conv",
+                          {i: Tensor(k.values, dtype=np.float64) for i, k in p32.weights.items()},
+                          {i: Tensor(b.values, dtype=np.float64) for i, b in p32.biases.items()})
         img = np.random.default_rng(1).uniform(-0.5, 0.5, (1, 3, 224, 224)).astype(np.float32)
         narrow = encode_image(img, p32).values
         wide = encode_image(img.astype(np.float64), p64).values

@@ -152,7 +152,7 @@ class TestEncodeImage:
     def test_zero_weights_give_zero_features(self):
         cfg = image_preset("tiny")
         params = init_image_params(cfg, np.random.default_rng(0), dtype=np.float64)
-        for t in params.kernels + params.biases:
+        for t in params.named_tensors().values():
             t.values[...] = 0.0
         img = np.random.default_rng(1).uniform(-0.5, 0.5, (3, 16, 16))
         assert np.all(encode_image(img, params).values == 0.0)
@@ -181,7 +181,7 @@ class TestEncodeImage:
     def test_shape_error_names_offending_layer(self):
         cfg = image_preset("tiny")
         params = init_image_params(cfg, np.random.default_rng(0), dtype=np.float64)
-        params.kernels[2] = Tensor(np.zeros((8, 99, 3, 3)), requires_grad=True)
+        params.weights[3] = Tensor(np.zeros((8, 99, 3, 3)), requires_grad=True)
         with pytest.raises(ShapeError, match="layer 3"):
             encode_image(np.zeros((3, 16, 16)), params)
 
@@ -195,7 +195,7 @@ class TestEncodeImage:
         def fn(*_):
             return (encode_image(img, params) * proj).sum()
 
-        report = grad_check(fn, [params.kernels[0], params.biases[0]],
+        report = grad_check(fn, [params.weights[1], params.biases[1]],
                             eps=1e-3, tol=1e-4, smooth_only=True)
         assert report.passed, str(report)
         assert report.compared > 0

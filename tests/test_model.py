@@ -137,7 +137,7 @@ class TestForward:
         params = init_model(micro_config(), seed=3)
         x = Tensor(np.random.default_rng(4).uniform(-1, 1, (1, params.config.fused_size)))
         before = forward(x, params)
-        params.fc_biases[2].values[...] += 7.5
+        params.head.biases[3].values[...] += 7.5
         after = forward(x, params)
         assert np.allclose(before, after, atol=1e-12)
 
@@ -155,8 +155,8 @@ class TestForward:
             params = init_model(micro_config(), seed=seed)
             x = Tensor(rng.uniform(-1, 1, (1, params.config.fused_size)))
             before = int(np.argmax(forward(x, params)))
-            params.fc_weights[2].values[...] *= 2.0
-            params.fc_biases[2].values[...] *= 2.0
+            params.head.weights[3].values[...] *= 2.0
+            params.head.biases[3].values[...] *= 2.0
             after = int(np.argmax(forward(x, params)))
             assert before == after
 

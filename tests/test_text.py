@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dfsn.autodiff import ShapeError, Tensor, backward, triple_pool
+from dfsn.autodiff import LayerParams, ShapeError, Tensor, backward, triple_pool
 from dfsn.gradcheck import grad_check
-from dfsn.text import (EmbeddingTable, TextBranchParams, TextConfig,
+from dfsn.text import (EmbeddingTable, TextConfig,
                        embed_sentence, encode_sentence_matrix, gather_sentence_rows,
                        init_text_params, oov_vector, text_feature_maps,
                        text_preset, tokenize)
@@ -124,7 +124,7 @@ class TestEmbedSentence:
 def _identity_params(dim, widths, weights, biases):
     cfg = TextConfig(dim=dim, max_len=10, widths=widths, filters_per_width=weights[widths[0]].shape[1],
                      nonlinearity="identity")
-    params = TextBranchParams(config=cfg)
+    params = LayerParams(cfg, "text.w")
     for h in widths:
         params.weights[h] = Tensor(weights[h], requires_grad=True)
         params.biases[h] = Tensor(biases[h], requires_grad=True)
@@ -147,7 +147,7 @@ class TestFeatureMaps:
     def test_hand_dot_products_tanh(self):
         sm = self.hand_sentence()
         cfg = TextConfig(dim=2, max_len=10, widths=(2,), filters_per_width=1)
-        params = TextBranchParams(config=cfg)
+        params = LayerParams(cfg, "text.w")
         params.weights[2] = Tensor(np.ones((4, 1)), requires_grad=True)
         params.biases[2] = Tensor(np.zeros(1), requires_grad=True)
         c = text_feature_maps(sm, params)[2]
@@ -157,7 +157,7 @@ class TestFeatureMaps:
     def test_zero_filter_gives_zero_map_of_right_length(self):
         sm = self.hand_sentence()
         cfg = TextConfig(dim=2, max_len=10, widths=(2,), filters_per_width=1)
-        params = TextBranchParams(config=cfg)
+        params = LayerParams(cfg, "text.w")
         params.weights[2] = Tensor(np.zeros((4, 1)), requires_grad=True)
         params.biases[2] = Tensor(np.zeros(1), requires_grad=True)
         c = text_feature_maps(sm, params)[2]

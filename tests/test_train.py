@@ -184,7 +184,7 @@ class TestTraining:
         table = EmbeddingTable(dim=config.text.dim, fallback_seed=2)
         params = init_model(config, seed=2)
         # the last layer has no ReLU after it, so the NaN reaches the loss
-        params.fc_weights[2].values[...] = np.nan
+        params.head.weights[3].values[...] = np.nan
         cfg = TrainConfig(batch_size=2, initial_lr=0.1, epochs=1, seed=2)
         with pytest.raises(TrainingError, match="step 0"):
             train(params, samples, cfg, table=table)
