@@ -551,12 +551,17 @@ def maxpool2d(t: Tensor, window: int, stride: int) -> Tensor:
     vals = views[0].copy()
     for view in views[1:]:
         np.maximum(vals, view, out=vals)
-    # the first offset holding the maximum, found last to first; a window
-    # with a NaN has NaN as its maximum and picks its first NaN, as argmax does
-    arg = np.zeros(vals.shape, np.intp)
-    for k in range(len(views) - 1, -1, -1):
-        arg = np.where((views[k] == vals) | np.isnan(views[k]), k, arg)
-    _record_switch(lambda: arg.transpose(1, 0, 2, 3).astype(np.int32))
+
+    def picks():
+        # the first offset holding the maximum, found last to first; a window
+        # with a NaN has NaN as its maximum and picks its first NaN, as argmax does
+        arg = np.zeros(vals.shape, np.intp)
+        for k in range(len(views) - 1, -1, -1):
+            arg = np.where((views[k] == vals) | np.isnan(views[k]), k, arg)
+        return arg
+
+    # only backward and the switch signature read the picks
+    _record_switch(lambda: picks().transpose(1, 0, 2, 3).astype(np.int32))
 
     def back(g):
         # each pick as a flat index into v: one bincount sums overlapping windows
@@ -564,7 +569,7 @@ def maxpool2d(t: Tensor, window: int, stride: int) -> Tensor:
                   + (np.arange(ho)[:, None] * w + np.arange(wo)) * stride)
         shift = (np.arange(window)[:, None] * w + np.arange(window)).reshape(-1)
         gcm = g.reshape((v.shape[1], v.shape[0], ho, wo)).transpose(1, 0, 2, 3)
-        dx = np.bincount((corner + shift[arg]).reshape(-1), gcm.reshape(-1), v.size)
+        dx = np.bincount((corner + shift[picks()]).reshape(-1), gcm.reshape(-1), v.size)
         dx = dx.astype(v.dtype, copy=False).reshape(v.shape).transpose(1, 0, 2, 3)
         return (dx.reshape(t.shape),)
 
@@ -587,11 +592,12 @@ def lrn(t: Tensor, depth_radius: int = 2, k: float = 2.0,
         raise ValueError(f"lrn: depth_radius must be nonnegative, got {depth_radius}")
     v = t.values
     c = v.shape[-3]
-    sq = v * v
+    asq = v * v
+    asq *= alpha
     denom = np.full_like(v, float(k))
     for off in range(-depth_radius, depth_radius + 1):
         lo, hi = max(0, -off), min(c, c - off)
-        denom[..., lo:hi, :, :] += alpha * sq[..., lo + off:hi + off, :, :]
+        denom[..., lo:hi, :, :] += asq[..., lo + off:hi + off, :, :]
     scale = denom ** (-beta)
     vals = v * scale
 
@@ -642,17 +648,22 @@ def triple_pool_columns(t: Tensor, starts: Sequence[int] = (0,),
     v = t.values[rows]
     mx = np.maximum.reduceat(v, first, axis=0)
     mn = np.minimum.reduceat(v, first, axis=0)
-    # the first occurrence is the smallest row index holding the extremum (a
-    # NaN column holds none and falls back to the last row)
-    at, last = np.arange(len(rows))[:, None], len(rows) - 1
-    amax, amin = (rows[np.minimum.reduceat(np.where(v == np.repeat(m, counts, axis=0), at, last),
-                                           first, axis=0)] for m in (mx, mn))
-    _record_switch(lambda: np.stack([amax, amin]).astype(np.int32))
+
+    def picks():
+        # the first occurrence is the smallest row index holding the extremum
+        # (a NaN column holds none and falls back to the last row)
+        at, last = np.arange(len(rows))[:, None], len(rows) - 1
+        return [rows[np.minimum.reduceat(np.where(v == np.repeat(m, counts, axis=0), at, last),
+                                         first, axis=0)] for m in (mx, mn)]
+
+    # as in maxpool2d, only backward and the switch signature read the picks
+    _record_switch(lambda: np.stack(picks()).astype(np.int32))
     # constant columns pool to the shared value exactly; sum/L would round
     mean = np.where(mx == mn, mx, np.add.reduceat(v, first, axis=0) / counts[:, None])
     vals = np.stack([mx, mean, mn], axis=2)
 
     def back(g):
+        amax, amin = picks()
         d = np.zeros((ln, f), v.dtype)
         cols = np.arange(f)
         np.add.at(d, (amax, cols), g[..., 0])

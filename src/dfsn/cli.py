@@ -16,7 +16,7 @@ from typing import Optional
 from . import data as dio
 from .model import MODALITIES, FusionConfig, fusion_preset, init_model, predict
 from .text import EmbeddingTable
-from .train import TrainConfig, evaluate, render_history_markdown
+from .train import TrainConfig, TrainingError, evaluate, render_history_markdown
 from .train import train as run_training
 from .verify import run_gradcheck_suite
 
@@ -319,8 +319,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    # every loader error type (manifest, word vectors, PPM, checkpoint) is a ValueError
-    except (CliError, ValueError, OSError) as exc:
+    # every loader error type (manifest, word vectors, PPM, checkpoint) is a ValueError;
+    # a TrainingError is a run that cannot go on, such as a loss gone non-finite
+    except (CliError, ValueError, OSError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

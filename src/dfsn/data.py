@@ -244,35 +244,38 @@ CHECKPOINT_MAGIC = b"DFSN1"
 CHECKPOINT_VERSION = 1
 
 
+def _checkpoint_chunks(params: FusionModelParams):
+    """The checkpoint's bytes before the CRC: the header, then each tensor's
+    record followed by its little-endian float32 payload, which is not copied
+    when the tensor already holds contiguous float32 values."""
+    config_json = json.dumps(config_to_dict(params.config),
+                             sort_keys=True, separators=(",", ":")).encode("utf-8")
+    tensors = params.named_tensors()
+    yield (CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(config_json))
+           + config_json + struct.pack("<I", len(tensors)))
+    for name, tensor in tensors.items():
+        name_bytes = name.encode("utf-8")
+        yield struct.pack(f"<H{len(name_bytes)}sB{tensor.ndim}I", len(name_bytes), name_bytes,
+                          tensor.ndim, *tensor.shape)
+        yield memoryview(np.ascontiguousarray(tensor.values, "<f4")).cast("B")
+
+
 def save_checkpoint(params: FusionModelParams, path) -> None:
     """Write a versioned binary checkpoint (f32 payloads, CRC32 at the end).
 
-    The write goes through a temporary file, synced to disk before an atomic
-    rename, so a crash leaves either the old file or the new one. Round
-    trips are bit-exact for float32 parameter tensors; float64 tensors are
-    stored at float32 precision.
+    The bytes stream to a temporary file, with the CRC updated as they go,
+    and the file is synced to disk before an atomic rename, so a crash
+    leaves either the old file or the new one. Round trips are bit-exact for
+    float32 parameter tensors; float64 tensors are stored at float32
+    precision.
     """
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<H", CHECKPOINT_VERSION)
-    config_json = json.dumps(config_to_dict(params.config),
-                             sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob += struct.pack("<I", len(config_json))
-    blob += config_json
-    tensors = params.named_tensors()
-    blob += struct.pack("<I", len(tensors))
-    for name, tensor in tensors.items():
-        name_bytes = name.encode("utf-8")
-        blob += struct.pack("<H", len(name_bytes))
-        blob += name_bytes
-        blob += struct.pack("<B", tensor.ndim)
-        for extent in tensor.shape:
-            blob += struct.pack("<I", extent)
-        blob += tensor.values.astype("<f4", copy=False).tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
     tmp = str(path) + ".tmp"
+    crc = 0
     with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
+        for chunk in _checkpoint_chunks(params):
+            crc = zlib.crc32(chunk, crc)
+            fh.write(chunk)
+        fh.write(struct.pack("<I", crc))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -283,24 +286,25 @@ def load_checkpoint(path) -> FusionModelParams:
     against the parameter structure the echoed config implies."""
     with open(path, "rb") as fh:
         data = fh.read()
+    view = memoryview(data)  # every record and payload is read through views of this one buffer
     if len(data) < len(CHECKPOINT_MAGIC) + 2 + 4 + 4:
         raise CheckpointFormatError(f"{path}: file too short to be a checkpoint")
     if data[:5] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {data[:5]!r}")
     stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
+    if zlib.crc32(view[:-4]) != stored_crc:
         raise CheckpointFormatError(f"{path}: checksum mismatch, file is corrupt")
     # a valid CRC proves only that the writer's bytes arrived intact, not that
     # the writer laid them out right, so every read below is bounds-checked
     pos = 5
     end = len(data) - 4
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > end:
             raise CheckpointFormatError(f"{path}: record at byte {pos} overruns the file")
         pos += n
-        return data[pos - n:pos]
+        return view[pos - n:pos]
 
     try:
         (version,) = struct.unpack("<H", take(2))
@@ -310,7 +314,7 @@ def load_checkpoint(path) -> FusionModelParams:
         (config_len,) = struct.unpack("<I", take(4))
         config_bytes = take(config_len)
         try:
-            config = config_from_dict(json.loads(config_bytes.decode("utf-8")))
+            config = config_from_dict(json.loads(bytes(config_bytes).decode("utf-8")))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CheckpointFormatError(f"{path}: bad config block ({exc})") from None
         (tensor_count,) = struct.unpack("<I", take(4))
@@ -326,7 +330,7 @@ def load_checkpoint(path) -> FusionModelParams:
         seen = set()
         for _ in range(tensor_count):
             (name_len,) = struct.unpack("<H", take(2))
-            name = take(name_len).decode("utf-8")
+            name = bytes(take(name_len)).decode("utf-8")
             (ndim,) = take(1)
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
             if name not in expected:
@@ -338,7 +342,7 @@ def load_checkpoint(path) -> FusionModelParams:
             values = np.frombuffer(take(4 * target.numel), dtype="<f4").reshape(shape)
             if not np.isfinite(values).all():
                 raise CheckpointFormatError(f"{path}: tensor {name!r} holds non-finite values")
-            target.values[...] = values.astype(target.values.dtype)
+            target.values[...] = values
             seen.add(name)
     except (struct.error, UnicodeDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: malformed tensor table ({exc})") from None

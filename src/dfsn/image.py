@@ -157,9 +157,10 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x0, x1, fx = axis_coords(w, out_w)
     fy = fy[:, None, None]
     fx = fx[None, :, None]
-    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
-    bottom = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
-    return top * (1 - fy) + bottom * fy
+    # separable (x once per input row, then y); each output is the four-corner
+    # form's arithmetic on the same values, so the two are bit-identical
+    cols = img[:, x0] * (1 - fx) + img[:, x1] * fx
+    return cols[y0] * (1 - fy) + cols[y1] * fy
 
 
 def preprocess_image(raw: np.ndarray, side: int = 224,

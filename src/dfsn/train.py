@@ -43,12 +43,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (0.0 < self.decay_base <= 1.0):
             raise ValueError("decay_base must be in (0, 1]")
-        if self.initial_lr <= 0.0:
-            raise ValueError("initial_lr must be positive")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
+            raise ValueError(f"initial_lr must be finite and positive, got {self.initial_lr}")
         if self.decay_every < 1:
             raise ValueError("decay_every must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0 (0 disables it), got {self.eval_every}")
 
 
 def lr_at_step(step: int, cfg: TrainConfig) -> float:

@@ -146,3 +146,27 @@ def bilinear_resize_loops(img, out_h, out_w):
                 bot = float(img[y1, x0, ch]) * (1 - fx) + float(img[y1, x1, ch]) * fx
                 out[i, j, ch] = top * (1 - fy) + bot * fy
     return out
+
+
+def bilinear_resize_four_corner(img, out_h, out_w):
+    """Vectorised bilinear resize that reads all four corners of every output.
+
+    The unfactored form: each output row gathers its top and bottom input
+    rows, interpolates each along x, then blends the two along y. It keeps the
+    coordinate arithmetic of the package's resize, so a separable resize that
+    does the same per-element arithmetic must match it bit for bit.
+    """
+    h, w, _ = img.shape
+
+    def axis_coords(n_in, n_out):
+        src = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+        lo = np.floor(src).astype(np.intp)
+        return lo, np.minimum(lo + 1, n_in - 1), src - lo
+
+    y0, y1, fy = axis_coords(h, out_h)
+    x0, x1, fx = axis_coords(w, out_w)
+    fy = fy[:, None, None]
+    fx = fx[None, :, None]
+    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
+    bottom = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
+    return top * (1 - fy) + bottom * fy

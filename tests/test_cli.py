@@ -222,6 +222,27 @@ class TestMalformedInputsExitNonzero:
         assert holdout in stderr
         assert not (tmp_path / "run").exists()
 
+    # nan passes a `<= 0` check; 1e30 is finite but blows the loss up at step 1
+    @pytest.mark.parametrize("lr,message", [("nan", "initial_lr"),
+                                            ("1e30", "non-finite loss")])
+    def test_unusable_learning_rate(self, lr, message, dataset, tmp_path, capsys):
+        code, _, stderr = run(capsys, "train", "--manifest", str(dataset / "manifest.jsonl"),
+                              "--out", str(tmp_path / "run"), "--epochs", "2",
+                              "--batch-size", "10", "--lr", lr)
+        # the run may announce itself before it fails
+        assert code == 1
+        assert stderr.splitlines()[-1].startswith("error:")
+        assert message in stderr.splitlines()[-1]
+        assert "Traceback" not in stderr
+
+    def test_negative_eval_every(self, dataset, tmp_path, capsys):
+        code, _, stderr = run(capsys, "train", "--manifest", str(dataset / "manifest.jsonl"),
+                              "--out", str(tmp_path / "run"), "--epochs", "1",
+                              "--eval-every", "-2")
+        assert code == 1
+        assert stderr.startswith("error:")
+        assert "eval_every" in stderr
+
     # a held-out split and an explicit test manifest would each set the test set
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_holdout_with_eval_manifest(self, source, dataset, tmp_path, capsys):

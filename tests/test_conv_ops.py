@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dfsn import autodiff
 from dfsn.autodiff import (LayerParams, ShapeError, Tensor, capture_switch_signature, conv2d,
                            lrn, maxpool2d, triple_pool, triple_pool_columns)
 from dfsn.gradcheck import grad_check
@@ -393,6 +394,93 @@ class TestSegmentPool:
     def test_bad_segments_rejected(self, starts, counts):
         with pytest.raises(ShapeError, match="segment starts"):
             triple_pool_columns(Tensor(np.zeros((7, 2))), starts, counts)
+
+
+def pool_input(name, dtype):
+    """An input to a pooling op that ties often and holds one NaN."""
+    rng = np.random.default_rng(21)
+    if name == "maxpool2d":
+        x = np.maximum(rng.uniform(-1, 1, (2, 3, 9, 10)), 0.0)
+        x[1, 2, 4, 4] = np.nan
+    else:
+        x = rng.integers(-2, 3, (9, 4)).astype(float)
+        x[6, 1] = np.nan
+    return x.astype(dtype)
+
+
+POOL_OPS = {
+    "maxpool2d": lambda t: maxpool2d(t, 3, 2),
+    "triple_pool_columns": lambda t: triple_pool_columns(t, (0, 4, 5)),
+}
+
+
+class CountingNumpy:
+    """numpy, with the calls to the named functions counted."""
+
+    def __init__(self, *names):
+        self.calls = dict.fromkeys(names, 0)
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestPoolingPicksOnDemand:
+    """The pooling picks are found only when backward or the switch
+    signature reads them, and the result does not depend on which."""
+
+    @staticmethod
+    def run(name, dtype, capture):
+        x = pool_input(name, dtype)
+        t = Tensor(x, requires_grad=True)
+        sink = []
+        if capture:
+            with capture_switch_signature() as sink:
+                out = POOL_OPS[name](t)
+        else:
+            out = POOL_OPS[name](t)
+        g = np.random.default_rng(22).uniform(-1, 1, out.shape).astype(dtype)
+        (out * Tensor(g)).sum().backward()
+        return out.values.tobytes(), t.grad.tobytes(), sink
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(POOL_OPS))
+    def test_same_bits_inside_and_outside_the_switch_capture(self, name, dtype):
+        out_plain, grad_plain, _ = self.run(name, dtype, capture=False)
+        out_captured, grad_captured, sink = self.run(name, dtype, capture=True)
+        assert len(sink) == 1
+        assert out_plain == out_captured
+        assert grad_plain == grad_captured
+
+    def test_maxpool2d_forward_runs_no_pick_pass(self, monkeypatch):
+        counting = CountingNumpy("where", "isnan")
+        monkeypatch.setattr(autodiff, "np", counting)
+        t = Tensor(pool_input("maxpool2d", np.float32), requires_grad=True)
+        out = maxpool2d(t, 3, 2)
+        assert counting.calls == {"where": 0, "isnan": 0}
+        out.sum().backward()
+        assert counting.calls == {"where": 9, "isnan": 9}
+        with capture_switch_signature():
+            maxpool2d(t, 3, 2)
+        assert counting.calls == {"where": 18, "isnan": 18}
+
+    def test_triple_pool_columns_forward_runs_no_pick_pass(self, monkeypatch):
+        counting = CountingNumpy("where")
+        monkeypatch.setattr(autodiff, "np", counting)
+        t = Tensor(pool_input("triple_pool_columns", np.float64), requires_grad=True)
+        POOL_OPS["triple_pool_columns"](t)
+        plain = counting.calls["where"]
+        with capture_switch_signature():
+            POOL_OPS["triple_pool_columns"](t)
+        captured = counting.calls["where"] - plain
+        # one pick pass for the maxima, one for the minima
+        assert captured == plain + 2
 
 
 CONV_DTYPE_RULE_OPS = {

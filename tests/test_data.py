@@ -261,6 +261,21 @@ def with_config(blob, config) -> bytes:
     return with_crc(blob[:7] + struct.pack("<I", len(block)) + block + blob[11 + config_len:-4])
 
 
+def whole_blob_checkpoint(params) -> bytes:
+    """A checkpoint laid out in one buffer with ``struct``, apart from the
+    package's writer: magic, version, config block, tensor count, then each
+    tensor's name, rank, extents and float32 payload, then the CRC."""
+    config = json.dumps(config_to_dict(params.config), sort_keys=True,
+                        separators=(",", ":")).encode("utf-8")
+    tensors = params.named_tensors()
+    body = b"DFSN1" + struct.pack("<HI", 1, len(config)) + config + struct.pack("<I", len(tensors))
+    for name, tensor in tensors.items():
+        body += struct.pack("<H", len(name)) + name.encode("utf-8")
+        body += struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape)
+        body += struct.pack(f"<{tensor.numel}f", *tensor.values.reshape(-1).tolist())
+    return with_crc(body)
+
+
 class TestCheckpoint:
     def make_params(self, seed=0, preset="tiny"):
         return init_model(fusion_preset(preset), seed=seed)
@@ -463,6 +478,24 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for name, tensor in params.named_tensors().items():
             assert np.array_equal(loaded.named_tensors()[name].values, tensor.values)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_streamed_write_equals_whole_blob_layout(self, tmp_path, dtype):
+        params = init_model(fusion_preset("tiny", dtype=dtype), seed=19)
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(params, path)
+        assert path.read_bytes() == whole_blob_checkpoint(params)
+
+    def test_float64_model_round_trips_at_float32_precision(self, tmp_path):
+        params = init_model(fusion_preset("tiny", dtype="float64"), seed=20)
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert loaded.config == params.config
+        for name, tensor in params.named_tensors().items():
+            other = loaded.named_tensors()[name].values
+            assert other.dtype == np.float64
+            assert np.array_equal(other, tensor.values.astype(np.float32)), name
 
     def test_oversized_config_fails_before_allocating(self, tmp_path):
         # hidden1 = 20000 makes fc1 a (50, 20000) tensor: 12 MB for a loader

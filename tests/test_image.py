@@ -9,7 +9,7 @@ from dfsn.image import (ConvLayerSpec, ConvStackConfig, bilinear_resize,
                         encode_image, image_preset, init_image_params,
                         preprocess_image)
 
-from oracles import bilinear_resize_loops
+from oracles import bilinear_resize_four_corner, bilinear_resize_loops
 
 # frozen by hand from the half-pixel-center formula: src = (dst+0.5)/2 - 0.5,
 # per-axis fractions (0, .25, .75, 0 at clamped index 1) over [[1,0],[0,1]]
@@ -43,6 +43,18 @@ class TestBilinearResize:
         for out_h, out_w in ((3, 3), (8, 2), (10, 11)):
             got = bilinear_resize(img, out_h, out_w)
             assert np.allclose(got, bilinear_resize_loops(img, out_h, out_w), atol=1e-12)
+
+    # 32 -> 224 is every synthetic image's path into the `full` preset
+    @pytest.mark.parametrize("in_shape,out_h,out_w", [
+        ((32, 32, 3), 224, 224), ((17, 20, 3), 224, 224), ((300, 303, 3), 224, 224),
+        ((40, 30, 3), 7, 13)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_four_corner_form(self, in_shape, out_h, out_w, dtype):
+        img = np.random.default_rng(sum(in_shape)).uniform(0, 1, in_shape).astype(dtype)
+        got = bilinear_resize(img, out_h, out_w)
+        want = bilinear_resize_four_corner(img, out_h, out_w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPreprocess:

@@ -61,6 +61,12 @@ class TestSchedule:
             TrainConfig(decay_base=1.5)
         with pytest.raises(ValueError):
             TrainConfig(initial_lr=0.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="initial_lr must be finite"):
+                TrainConfig(initial_lr=lr)
+        with pytest.raises(ValueError, match="eval_every"):
+            TrainConfig(eval_every=-1)
+        assert TrainConfig(eval_every=0).eval_every == 0
 
 
 class TestSgdStep:
