@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import data as dio
 from .model import MODALITIES, FusionConfig, fusion_preset, init_model, predict
 from .text import EmbeddingTable
@@ -40,8 +42,9 @@ class CliError(Exception):
     """User-facing failure: printed to stderr, exits nonzero."""
 
 
-def parse_flat_config(path) -> dict:
-    """Flat key = value file; '#' starts a comment, values may be quoted."""
+def parse_flat_config(path) -> dict[str, str]:
+    """Flat key = value file of string values; '#' starts a comment, and
+    surrounding quotes are removed."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = list(dio.utf8_lines(fh, path, CliError))
@@ -55,39 +58,19 @@ def parse_flat_config(path) -> dict:
         if not key:
             raise CliError(f"{path}: line {lineno}: empty key")
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-            out[key] = value[1:-1]
-            continue
-        lowered = value.lower()
-        if lowered in ("true", "false"):
-            out[key] = lowered == "true"
-            continue
-        try:
-            out[key] = int(value)
-            continue
-        except ValueError:
-            pass
-        try:
-            out[key] = float(value)
-            continue
-        except ValueError:
-            pass
+            value = value[1:-1]
         out[key] = value
     return out
 
 
-def _setting_value(path, key: str, value):
+def _setting_value(path, key: str, text: str):
     """A config-file value as the type of its setting's default, or a
     ``CliError`` naming the file."""
     kind = type(CONFIG_DEFAULTS[key])
-    if kind is str:
-        return str(value)
-    # no bool as a number, and no float silently truncated to an int
-    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
-        try:
-            return kind(value)
-        except (ValueError, OverflowError):
-            pass
-    raise CliError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
+    try:
+        return kind(text)
+    except ValueError:
+        raise CliError(f"{path}: {key} must be {kind.__name__}, got {text!r}") from None
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
@@ -113,14 +96,15 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 
 
 def _load_table(config: FusionConfig, path, seed: int) -> Optional[EmbeddingTable]:
-    """The word vectors a model's text branch reads; None without a text branch."""
+    """The word vectors a model's text branch reads, every value finite in the
+    model's dtype; None without a text branch."""
     if config.text is None:
         return None
     dim = config.text.dim
     if path is None:
         # no vector file: every word uses the deterministic seeded fallback
         return EmbeddingTable(dim=dim, fallback_seed=seed)
-    table = dio.load_embeddings(path, fallback_seed=seed)
+    table = dio.load_embeddings(path, fallback_seed=seed, dtype=config.np_dtype)
     if table.dim != dim:
         raise CliError(f"{path}: embedding dimension {table.dim} != model dimension {dim}")
     return table
@@ -138,10 +122,9 @@ def cmd_gen_data(args) -> int:
     settings = resolve_settings(args)
     if args.out is None:
         raise CliError("gen-data needs --out")
-    mix = _parse_mix(str(settings["mix"]))
+    mix = _parse_mix(settings["mix"])
     out_dir = Path(args.out)
-    manifest = dio.gen_synthetic(int(settings["n"]), mix, seed=int(settings["seed"]),
-                                 out_dir=out_dir)
+    manifest = dio.gen_synthetic(settings["n"], mix, seed=settings["seed"], out_dir=out_dir)
     manifest_path = out_dir / "manifest.jsonl"
     dio.save_manifest(manifest, manifest_path)
     print(manifest_path)
@@ -150,13 +133,10 @@ def cmd_gen_data(args) -> int:
 
 
 def _build_train_config(settings) -> TrainConfig:
-    return TrainConfig(batch_size=int(settings["batch_size"]),
-                       initial_lr=float(settings["lr"]),
-                       decay_base=float(settings["decay_base"]),
-                       decay_every=int(settings["decay_every"]),
-                       epochs=int(settings["epochs"]),
-                       seed=int(settings["seed"]),
-                       eval_every=int(settings["eval_every"]))
+    return TrainConfig(batch_size=settings["batch_size"], initial_lr=settings["lr"],
+                       decay_base=settings["decay_base"], decay_every=settings["decay_every"],
+                       epochs=settings["epochs"], seed=settings["seed"],
+                       eval_every=settings["eval_every"])
 
 
 def cmd_train(args) -> int:
@@ -165,13 +145,12 @@ def cmd_train(args) -> int:
         raise CliError("train needs --manifest")
     if args.out is None:
         raise CliError("train needs --out")
-    seed = int(settings["seed"])
-    holdout = float(settings["holdout"])
+    seed, holdout = settings["seed"], settings["holdout"]
     if not 0.0 <= holdout < 1.0:
         raise CliError(f"holdout must be in [0, 1), got {holdout}")
     if args.eval_manifest is not None and holdout > 0.0:
         raise CliError(f"give --eval-manifest or holdout {holdout}, not both")
-    config = fusion_preset(str(settings["preset"]), modality=str(settings["modality"]))
+    config = fusion_preset(settings["preset"], modality=settings["modality"])
     manifest = dio.load_manifest(args.manifest)
     manifest = dio.filter_by_length(manifest)
     if len(manifest) == 0:
@@ -205,7 +184,7 @@ def cmd_eval(args) -> int:
     if args.checkpoint is None or args.manifest is None:
         raise CliError("eval needs --checkpoint and --manifest")
     params = dio.load_checkpoint(args.checkpoint)
-    table = _load_table(params.config, args.embeddings, int(settings["seed"]))
+    table = _load_table(params.config, args.embeddings, settings["seed"])
     manifest = dio.load_manifest(args.manifest)
     samples = dio.materialize(manifest, Path(args.manifest).parent, params.config, table)
     report = evaluate(params, samples, table)
@@ -226,7 +205,7 @@ def cmd_predict(args) -> int:
         image = dio.load_ppm(args.image)
     if config.text is not None and args.text is None:
         raise CliError("this model needs --text")
-    table = _load_table(config, args.embeddings, int(settings["seed"]))
+    table = _load_table(config, args.embeddings, settings["seed"])
     result = predict(image, args.text, params, table)
     print(f"{result.label} {result.p_neg:.3f} {result.p_pos:.3f}")
     return 0
@@ -234,7 +213,7 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     settings = resolve_settings(args)
-    results = run_gradcheck_suite(seed=int(settings["seed"]))
+    results = run_gradcheck_suite(seed=settings["seed"])
     failures = 0
     for name, report in results:
         status = "PASS" if report.passed else "FAIL"
@@ -262,10 +241,11 @@ def cmd_report(args) -> int:
     return 0
 
 
-# every flag, declared once: its name without the leading "--" and its argparse keywords
+# every flag, declared once: its name without the leading "--" and its argparse
+# keywords; a setting's flag takes the type of its CONFIG_DEFAULTS entry
 FLAGS = {
     "config": dict(help="flat key = value settings file"),
-    "seed": dict(type=int, help="master random seed"),
+    "seed": dict(help="master random seed"),
     "preset": dict(choices=("full", "tiny"), help="model scale"),
     "modality": dict(choices=MODALITIES),
     "embeddings": dict(help="word-vector file (textual format)"),
@@ -273,14 +253,14 @@ FLAGS = {
     "eval-manifest": dict(help="explicit test manifest"),
     "checkpoint": dict(help="model checkpoint path"),
     "out": dict(help="output file or directory"),
-    "batch-size": dict(type=int),
-    "lr": dict(type=float, help="initial learning rate"),
-    "decay-base": dict(type=float),
-    "decay-every": dict(type=int),
-    "epochs": dict(type=int),
-    "eval-every": dict(type=int),
-    "holdout": dict(type=float, help="fraction held out for testing"),
-    "n": dict(type=int, help="sample count"),
+    "batch-size": dict(),
+    "lr": dict(help="initial learning rate"),
+    "decay-base": dict(),
+    "decay-every": dict(),
+    "epochs": dict(),
+    "eval-every": dict(),
+    "holdout": dict(help="fraction held out for testing"),
+    "n": dict(help="sample count"),
     "mix": dict(help="regime proportions a,b,c,d (must sum to 1)"),
     "image": dict(help="PPM image path"),
     "text": dict(help="raw text"),
@@ -310,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (fn, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags.split():
-            p.add_argument("--" + flag, **FLAGS[flag])
+            kind = type(CONFIG_DEFAULTS.get(flag.replace("-", "_"), ""))
+            p.add_argument("--" + flag, type=kind, **FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 
@@ -318,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow ends in the non-finite loss or probabilities that the
+        # commands reject, not in numpy warnings ahead of the error line
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     # every loader error type (manifest, word vectors, PPM, checkpoint) is a ValueError;
     # a TrainingError is a run that cannot go on, such as a loss gone non-finite
     except (CliError, ValueError, OSError, TrainingError) as exc:

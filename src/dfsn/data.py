@@ -141,9 +141,10 @@ def split_train_test(manifest: Manifest, seed: int,
 # -- word vectors --------------------------------------------------------------
 
 
-def load_embeddings(path, fallback_seed: int = 0) -> EmbeddingTable:
+def load_embeddings(path, fallback_seed: int = 0, dtype=np.float64) -> EmbeddingTable:
     """Parse the textual vector format: header "count dim", then
-    "word v1 ... v_dim" per line."""
+    "word v1 ... v_dim" per line. Every value must be finite in ``dtype``,
+    the dtype of the model that reads the vectors."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = utf8_lines(fh, path, EmbeddingFormatError)
         parts = next(lines, "").split()
@@ -169,8 +170,9 @@ def load_embeddings(path, fallback_seed: int = 0) -> EmbeddingTable:
                 vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
             except ValueError:
                 raise EmbeddingFormatError(f"{path}: line {lineno}: non-numeric value") from None
-            if not np.isfinite(vec).all():
-                raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite value")
+            if not np.abs(vec).max() <= np.finfo(dtype).max:  # NaN fails it too
+                raise EmbeddingFormatError(f"{path}: line {lineno}: a value of {word!r} is "
+                                           f"not a finite {np.dtype(dtype)}")
             vectors[word] = vec
             rows += 1
         if rows != count:

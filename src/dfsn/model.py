@@ -17,8 +17,8 @@ from .autodiff import (LayerParams, Tensor, ShapeError, bias_add, check_int, con
                        init_layers, matmul, relu, softmax_cross_entropy, stable_softmax)
 from .image import (ConvStackConfig, ConvLayerSpec, encode_image, image_preset,
                     init_image_params, preprocess_image)
-from .text import (EmbeddingTable, TextConfig, encode_sentence_matrix,
-                   gather_sentence_rows, init_text_params, text_preset, tokenize)
+from .text import (EmbeddingTable, TextConfig, encode_sentence_matrix, init_text_params,
+                   text_preset, tokenize)
 
 MODALITIES = ("fused", "image", "text")
 
@@ -146,8 +146,13 @@ def head_logits(x: Tensor, params: FusionModelParams) -> Tensor:
 
 
 def forward(x: Tensor, params: FusionModelParams) -> np.ndarray:
-    """Class distributions [p_neg, p_pos], one row per row of fused features."""
-    return stable_softmax(head_logits(x, params).values)
+    """Class distributions [p_neg, p_pos], one row per row of fused features;
+    a ``ValueError`` if one is not finite."""
+    probs = stable_softmax(head_logits(x, params).values)
+    if not np.isfinite(probs).all():
+        raise ValueError("the class probabilities are not finite: the parameters or "
+                         "inputs overflow the model's arithmetic")
+    return probs
 
 
 @dataclass
@@ -178,8 +183,7 @@ def encode_inputs(images: Sequence, token_lists: Sequence, params: FusionModelPa
             raise ValueError("model needs a text input")
         if table is None:
             raise ValueError("text encoding needs an embedding table")
-        rows, lengths = gather_sentence_rows(token_lists, table, cfg.text)
-        parts.append(encode_sentence_matrix(rows, lengths, params.text_params))
+        parts.append(encode_sentence_matrix(token_lists, table, params.text_params))
     return fuse(*parts) if len(parts) == 2 else parts[0]
 
 

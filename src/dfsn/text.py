@@ -1,11 +1,11 @@
 """Text branch: tokens to the textual sentiment representation.
 
 Static word vectors live as the rows of one float64 matrix in the
-``EmbeddingTable``. A sentence becomes a list of row ids, and a batch's token
-rows come from one gather over the ids of all its sentences. Windowed
-filters slide over each sentence's rows at several widths, and each filter's
-feature map is pooled into [max, mean, min]. The concatenation of those
-pooled triples is the text feature vector.
+``EmbeddingTable``. A sentence becomes a list of row ids, and
+``encode_sentence_matrix`` takes a batch's token rows in one gather over the
+ids of all its sentences. Windowed filters slide over each sentence's rows at
+several widths, and each filter's feature map is pooled into [max, mean,
+min]. The concatenation of those pooled triples is the text feature vector.
 """
 
 from __future__ import annotations
@@ -208,49 +208,36 @@ def text_feature_maps(sm: SentenceMatrix, params: LayerParams) -> dict[int, Tens
     return {h: _filter_map(sm.matrix[:max(sm.n, h)], h, params) for h in params.config.widths}
 
 
-def gather_sentence_rows(token_lists: Sequence[Sequence[str]], table: EmbeddingTable,
-                         config: TextConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's stacked float64 token rows and its true lengths, in one gather.
+def encode_sentence_matrix(token_lists: Sequence[Sequence[str]], table: EmbeddingTable,
+                           params: LayerParams) -> Tensor:
+    """Text branch from a batch of token lists to an (N, features) tensor.
 
-    Each sentence is truncated to ``config.max_len`` and padded with zero
-    rows to its span, max(n, widest filter width): the rows
-    ``encode_sentence_matrix`` reads.
+    Each row has 3 * filters_per_width * len(widths) features, laid out
+    width-ascending then filter-index-ascending, each filter contributing its
+    [max, mean, min] block. The rows of every sentence, truncated to max_len,
+    come from one gather; each width runs its filters once over all of them,
+    and a sentence pools only its own windows (those ``text_feature_maps``
+    gives it).
     """
+    cfg = params.config
+    if table.dim != cfg.dim:
+        raise ShapeError(f"embedding dim {table.dim} != text branch dim {cfg.dim}")
     ids: list[int] = []
     lengths = []
     for tokens in token_lists:
-        row = table.row_ids(tokens[:config.max_len])
+        row = table.row_ids(tokens[:cfg.max_len])
         ids += row
-        ids += [0] * (config.widths[-1] - len(row))
+        # zero rows up to one window of the widest filter
+        ids += [0] * (cfg.widths[-1] - len(row))
         lengths.append(len(row))
-    return table.matrix[ids], np.array(lengths, dtype=np.intp)
-
-
-def encode_sentence_matrix(tokens: np.ndarray, lengths: np.ndarray,
-                           params: LayerParams) -> Tensor:
-    """Text branch from a batch's stacked token rows to an (N, features) tensor.
-
-    ``tokens`` holds each sentence's rows padded to its span, max(n, widest
-    width), one sentence after another, as ``gather_sentence_rows`` lays
-    them out; ``lengths`` holds each true length n. Each row has
-    3 * filters_per_width * len(widths) features, laid out width-ascending
-    then filter-index-ascending, each filter contributing its [max, mean, min]
-    block. Each width runs its filters once over all windows of the stacked
-    rows; a sentence pools only its own windows (those ``text_feature_maps``
-    gives it), never one that straddles two sentences or reaches past a short
-    sentence's single padded window.
-    """
-    cfg = params.config
-    spans = np.maximum(lengths, cfg.widths[-1])
-    if tokens.shape != (spans.sum(), cfg.dim):
-        raise ShapeError(f"token rows {tokens.shape} != ({spans.sum()}, {cfg.dim}): the "
-                         f"spans of {len(lengths)} sentences at text branch dim {cfg.dim}")
     # cast once: a float32 model's text branch and head run float32
-    tokens = tokens.astype(params.weights[cfg.widths[0]].dtype, copy=False)
+    rows = table.matrix[ids].astype(params.weights[cfg.widths[0]].dtype, copy=False)
+    lengths = np.array(lengths, dtype=np.intp)
+    spans = np.maximum(lengths, cfg.widths[-1])
     starts = np.cumsum(spans) - spans
     blocks = []
     for h in cfg.widths:
         counts = np.maximum(lengths, h) - h + 1
-        pooled = triple_pool_columns(_filter_map(tokens, h, params), starts, counts)  # (N, F, 3)
+        pooled = triple_pool_columns(_filter_map(rows, h, params), starts, counts)  # (N, F, 3)
         blocks.append(pooled.reshape(len(lengths), -1))
     return concat(blocks, axis=1)

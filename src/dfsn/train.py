@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, backward, zero_grads
+from .autodiff import Tensor, ShapeError, backward, check_int, zero_grads
 from .model import (FusionModelParams, ModelSample, batch_loss, encode_inputs,
                     forward, predicted_label)
 from .text import EmbeddingTable
@@ -39,18 +39,13 @@ class TrainConfig:
     eval_every: int = 1  # epochs between evaluations; 0 disables them
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, low in (("batch_size", 1), ("decay_every", 1), ("epochs", 0),
+                          ("eval_every", 0), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
         if not (0.0 < self.decay_base <= 1.0):
             raise ValueError("decay_base must be in (0, 1]")
         if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
             raise ValueError(f"initial_lr must be finite and positive, got {self.initial_lr}")
-        if self.decay_every < 1:
-            raise ValueError("decay_every must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.eval_every < 0:
-            raise ValueError(f"eval_every must be >= 0 (0 disables it), got {self.eval_every}")
 
 
 def lr_at_step(step: int, cfg: TrainConfig) -> float:

@@ -10,7 +10,7 @@ import pytest
 
 from dfsn.cli import build_parser, main, parse_flat_config
 from dfsn.data import gen_synthetic, save_checkpoint, save_manifest, save_ppm
-from dfsn.model import empty_model, fusion_preset
+from dfsn.model import empty_model, fusion_preset, init_model
 
 
 @pytest.fixture
@@ -141,6 +141,42 @@ class TestMalformedInputsExitNonzero:
                               "--embeddings", str(bad))
         assert code != 0
         assert "line 2" in stderr
+
+    def test_vector_beyond_float32_range_named_in_error(self, zero_checkpoint, tmp_path,
+                                                         capsys):
+        # finite in float64, inf once a float32 model casts it
+        img = tmp_path / "img.ppm"
+        save_ppm(img, np.zeros((4, 4, 3), dtype=np.uint8))
+        vectors = tmp_path / "huge.vec"
+        vectors.write_text("1 200\nhappy" + " 1e300" * 200 + "\n")
+        code, stdout, stderr = run(capsys, "predict", "--checkpoint", str(zero_checkpoint),
+                                   "--image", str(img), "--text", "happy day",
+                                   "--embeddings", str(vectors))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: {vectors}: line 2: a value of 'happy' is not a finite float32\n"
+
+    # every tensor scaled by 1e30 stays finite in float32, so the checkpoint
+    # loads, but the activations overflow on the way to the probabilities; a
+    # numpy warning would print ahead of the error line, so it fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_non_finite_probabilities_end_in_error(self, command, dataset, tmp_path, capsys):
+        params = init_model(fusion_preset("tiny"), seed=0)
+        for t in params.tensors():
+            t.values *= 1e30
+        checkpoint = tmp_path / "huge.dfsn"
+        save_checkpoint(params, checkpoint)
+        if command == "predict":
+            img = tmp_path / "img.ppm"
+            save_ppm(img, np.full((8, 8, 3), 200, dtype=np.uint8))
+            inputs = ["--image", str(img), "--text", "happy day"]
+        else:
+            inputs = ["--manifest", str(dataset / "manifest.jsonl")]
+        code, stdout, stderr = run(capsys, command, "--checkpoint", str(checkpoint), *inputs)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: the class probabilities are not finite")
 
     def test_malformed_ppm(self, zero_checkpoint, tmp_path, capsys):
         bad = tmp_path / "bad.ppm"
@@ -362,7 +398,7 @@ class TestConfigFile:
         cfg.write_text("# comment\nseed = 5\nlr = 0.01\npreset = 'full'\n"
                        "mix = \"0.4,0.4,0.1,0.1\"\n")
         parsed = parse_flat_config(cfg)
-        assert parsed == {"seed": 5, "lr": 0.01, "preset": "full",
+        assert parsed == {"seed": "5", "lr": "0.01", "preset": "full",
                           "mix": "0.4,0.4,0.1,0.1"}
 
     def test_flags_override_file(self, dataset, tmp_path, capsys):

@@ -58,6 +58,16 @@ class TestEmbeddingsLoader:
         with pytest.raises(EmbeddingFormatError, match="promises 3"):
             load_embeddings(path)
 
+    # -1e300 is finite in float64 but not in float32
+    @pytest.mark.parametrize("value,dtype", [("nan", np.float64), ("-inf", np.float64),
+                                             ("-1e300", np.float32)])
+    def test_values_must_be_finite_in_the_model_dtype(self, value, dtype, tmp_path):
+        path = self.write(tmp_path, f"2 2\na 1 2\nbig {value} 0\n")
+        with pytest.raises(EmbeddingFormatError,
+                           match=f"line 3: a value of 'big' is not a finite {np.dtype(dtype)}$"):
+            load_embeddings(path, dtype=dtype)
+        assert load_embeddings(self.write(tmp_path, "1 2\nbig -1e300 0\n")).dim == 2
+
     def test_non_utf8_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_bytes(b"1 2\n\xff\xfe 1 2\n")

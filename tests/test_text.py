@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 
 from dfsn.autodiff import LayerParams, ShapeError, Tensor, backward, triple_pool
 from dfsn.gradcheck import grad_check
-from dfsn.text import (EmbeddingTable, TextConfig,
-                       embed_sentence, encode_sentence_matrix, gather_sentence_rows,
-                       init_text_params, oov_vector, text_feature_maps,
-                       text_preset, tokenize)
+from dfsn.text import (EmbeddingTable, SentenceMatrix, TextConfig, embed_sentence,
+                       encode_sentence_matrix, init_text_params, oov_vector,
+                       text_feature_maps, text_preset, tokenize)
 
 from oracles import text_windows_loops
 
@@ -18,12 +17,6 @@ def vector(table, word):
     """The table row a word maps to."""
     row = table.row_ids([word])[0]  # before reading ``matrix``: an append may move it
     return table.matrix[row]
-
-
-def encode_batch(token_lists, table, params):
-    """The text branch on a batch of token lists, as the model runs it."""
-    rows, lengths = gather_sentence_rows(token_lists, table, params.config)
-    return encode_sentence_matrix(rows, lengths, params)
 
 
 class TestTokenize:
@@ -223,7 +216,7 @@ class TestBatchedText:
 
     def test_ragged_batch_matches_loop_oracle_per_sentence(self):
         params, table, token_lists, sms = self.make()
-        batched = encode_batch(token_lists, table, params).values
+        batched = encode_sentence_matrix(token_lists, table, params).values
         for j, sm in enumerate(sms):
             want = []
             for h in params.config.widths:
@@ -234,55 +227,48 @@ class TestBatchedText:
 
     def test_batch_rows_equal_batches_of_one(self):
         params, table, token_lists, sms = self.make()
-        batched = encode_batch(token_lists, table, params).values
+        batched = encode_sentence_matrix(token_lists, table, params).values
         assert batched.shape == (len(sms), params.config.feature_size)
         for j, tokens in enumerate(token_lists):
-            assert np.allclose(batched[j], encode_batch([tokens], table, params).values[0],
-                               atol=1e-12)
+            one = encode_sentence_matrix([tokens], table, params).values[0]
+            assert np.allclose(batched[j], one, atol=1e-12)
 
     def test_batch_gradient_is_sum_of_sentence_gradients(self):
         params, table, token_lists, sms = self.make()
         proj = np.random.default_rng(13).uniform(0.5, 1.5, (len(sms), 18))
-        backward((encode_batch(token_lists, table, params) * Tensor(proj)).sum())
+        backward((encode_sentence_matrix(token_lists, table, params) * Tensor(proj)).sum())
         batched = {h: params.weights[h].grad.copy() for h in params.config.widths}
         for h in params.config.widths:
             params.weights[h].zero_grad()
         for j, tokens in enumerate(token_lists):
-            backward((encode_batch([tokens], table, params) * Tensor(proj[j:j + 1])).sum())
+            x = encode_sentence_matrix([tokens], table, params)
+            backward((x * Tensor(proj[j:j + 1])).sum())
         for h in params.config.widths:
             assert np.allclose(batched[h], params.weights[h].grad, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_gathered_rows_equal_stacked_sentence_matrices(self, dtype):
+    def test_batch_equals_per_sentence_path(self, dtype):
         cfg = TextConfig(dim=4, max_len=6, widths=(2, 3), filters_per_width=2)
         params = init_text_params(cfg, np.random.default_rng(14), dtype=dtype)
         table = EmbeddingTable(dim=4, vectors={"sun": np.linspace(-1.0, 1.0, 4)},
                                fallback_seed=8)
-        # longer than max_len, shorter than the widest filter, empty, in between
+        # longer than max_len, shorter than the widest filter, empty, known plus OOV words
         token_lists = [[f"t{i}" for i in range(9)], ["sun", "x"], [], ["sun", "a", "b", "sun"]]
-        rows, lengths = gather_sentence_rows(token_lists, table, cfg)
-        sms = [embed_sentence(tokens, table, cfg.max_len) for tokens in token_lists]
-        assert lengths.tolist() == [sm.n for sm in sms] == [6, 2, 0, 4]
-        # the first two spans from first principles: 6 truncated OOV rows, then sun, x, pad
-        assert np.array_equal(rows[:6], np.stack([oov_vector(f"t{i}", 4, 8) for i in range(6)]))
-        assert np.array_equal(rows[6:9], np.stack([np.linspace(-1.0, 1.0, 4),
-                                                   oov_vector("x", 4, 8), np.zeros(4)]))
-        stacked = np.concatenate([sm.matrix[:max(sm.n, cfg.widths[-1])] for sm in sms])
-        assert rows.dtype == np.float64
-        assert rows.tobytes() == stacked.tobytes()
-        assert rows.astype(dtype).tobytes() == stacked.astype(dtype).tobytes()
-        got = encode_sentence_matrix(rows, lengths, params).values
+        got = encode_sentence_matrix(token_lists, table, params).values
         assert got.dtype == dtype
-        assert got.tobytes() == encode_sentence_matrix(stacked, lengths, params).values.tobytes()
+        # t6..t8 lie past max_len and are never looked up: pad, sun, t0..t5, x, a, b
+        assert table.matrix.shape == (11, 4)
+        for j, tokens in enumerate(token_lists):
+            sm = embed_sentence(tokens, table, cfg.max_len)
+            maps = text_feature_maps(SentenceMatrix(sm.matrix.astype(dtype), sm.n), params)
+            want = [triple_pool(Tensor(maps[h].values[:, i])).values for h in cfg.widths
+                    for i in range(cfg.filters_per_width)]
+            assert got[j].tobytes() == np.concatenate(want).tobytes()
 
     def test_rows_of_wrong_shape_rejected(self):
-        params, table, token_lists, _ = self.make()
-        rows, lengths = gather_sentence_rows(token_lists, table, params.config)
-        with pytest.raises(ShapeError):
-            encode_sentence_matrix(rows[:-1], lengths, params)
-        rows, lengths = gather_sentence_rows(token_lists, EmbeddingTable(dim=4), params.config)
-        with pytest.raises(ShapeError, match="text branch dim 3"):
-            encode_sentence_matrix(rows, lengths, params)
+        params, _, token_lists, _ = self.make()
+        with pytest.raises(ShapeError, match="embedding dim 4 != text branch dim 3"):
+            encode_sentence_matrix(token_lists, EmbeddingTable(dim=4), params)
 
     def test_max_len_must_hold_widest_window(self):
         with pytest.raises(ValueError, match="widest"):
@@ -301,7 +287,7 @@ class TestBatchedText:
 def _encode(text, table, params):
     """Tokenize, embed, and run the text branch on a batch of one, as the
     model does; returns that one sentence's feature row."""
-    return encode_batch([tokenize(text)], table, params).reshape(-1)
+    return encode_sentence_matrix([tokenize(text)], table, params).reshape(-1)
 
 
 class TestEncodeText:
@@ -346,24 +332,21 @@ class TestEncodeText:
     def test_embedding_table_stays_frozen(self):
         _, params, table = self.make(filters=1, seed=6)
         tokens = tokenize("gradient should not reach the table")
-        rows, lengths = gather_sentence_rows([tokens], table, params.config)
-        before = rows.copy()
+        table.row_ids(tokens)
         table_before = table.matrix.copy()
-        x = encode_sentence_matrix(rows, lengths, params)
+        x = encode_sentence_matrix([tokens], table, params)
         backward((x * Tensor(np.arange(1.0, 10.0).reshape(1, 9))).sum())
         for h in (3, 4, 5):
             assert params.weights[h].grad is not None
-        assert np.array_equal(rows, before)
         assert np.array_equal(table.matrix, table_before)
 
     def test_filter_gradient_matches_finite_differences(self):
         _, params, table = self.make(filters=1, seed=7)
         tokens = tokenize("six words are enough for this probe")
-        rows, lengths = gather_sentence_rows([tokens], table, params.config)
         proj = Tensor(np.linspace(0.5, 1.5, 9).reshape(1, 9))
 
         def fn(*_):
-            return (encode_sentence_matrix(rows, lengths, params) * proj).sum()
+            return (encode_sentence_matrix([tokens], table, params) * proj).sum()
 
         inputs = [params.weights[3], params.biases[3], params.weights[5]]
         report = grad_check(fn, inputs, eps=1e-4, tol=1e-5, smooth_only=True)

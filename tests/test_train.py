@@ -68,6 +68,17 @@ class TestSchedule:
             TrainConfig(eval_every=-1)
         assert TrainConfig(eval_every=0).eval_every == 0
 
+    @pytest.mark.parametrize("kwargs,error", [
+        (dict(batch_size=2.5), TypeError), (dict(batch_size=0), ValueError),
+        (dict(decay_every=2.5), TypeError), (dict(decay_every=0), ValueError),
+        (dict(epochs=True), TypeError), (dict(epochs=-1), ValueError),
+        (dict(eval_every=1.0), TypeError), (dict(seed=-1), ValueError),
+        (dict(seed="3"), TypeError),
+    ])
+    def test_integer_fields_checked(self, kwargs, error):
+        with pytest.raises(error):
+            TrainConfig(**kwargs)
+
 
 class TestSgdStep:
     def test_zero_rate_keeps_params(self):
