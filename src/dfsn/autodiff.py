@@ -311,10 +311,8 @@ def _mul(a, b) -> Tensor:
 
 
 def _unreduce(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Only scalar-vs-array mixing is supported, so a full sum suffices.
-    if g.shape == shape:
-        return g
-    return np.sum(g).reshape(shape) if shape == () else np.broadcast_to(g, shape).copy()
+    # _operands admits equal shapes or a scalar, so a scalar's full sum suffices
+    return g if g.shape == shape else np.sum(g).reshape(shape)
 
 
 def _sum(t: Tensor) -> Tensor:
@@ -423,33 +421,15 @@ def bias_add(mat: Tensor, vec: Tensor) -> Tensor:
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis``; backward splits the gradient back."""
-    if len(parts) == 0:
-        raise ShapeError("concat of an empty list")
-    ndim = parts[0].ndim
-    if ndim == 0:
-        raise ShapeError("concat needs at least 1-D tensors")
-    if axis < 0:
-        axis += ndim
-    if not 0 <= axis < ndim:
-        raise ShapeError(f"concat: axis {axis} out of range for {ndim}-D parts")
-    ref = list(parts[0].shape)
-    for p in parts[1:]:
-        if p.ndim != ndim:
-            raise ShapeError(f"concat: rank mismatch {parts[0].shape} vs {p.shape}")
-        other = list(p.shape)
-        if ref[:axis] != other[:axis] or ref[axis + 1:] != other[axis + 1:]:
-            raise ShapeError(f"concat: non-axis extents differ, {parts[0].shape} vs {p.shape}")
-    vals = np.concatenate([p.values for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    try:
+        vals = np.concatenate([p.values for p in parts], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"concat of shapes {[p.shape for p in parts]} along axis {axis}: "
+                         f"{exc}") from None
+    bounds = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def back(g):
-        slicer = [slice(None)] * ndim
-        outs = []
-        for i in range(len(parts)):
-            slicer[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            outs.append(g[tuple(slicer)])
-        return outs
+        return np.split(g, bounds, axis=axis)
 
     return _make_node(vals, "concat", tuple(parts), back)
 

@@ -110,6 +110,15 @@ def _load_table(config: FusionConfig, path, seed: int) -> Optional[EmbeddingTabl
     return table
 
 
+def _load_filtered(path) -> dio.Manifest:
+    """A manifest's samples of 5 < words < 150 tokens, or a ``CliError``
+    naming the file if none is left."""
+    manifest = dio.filter_by_length(dio.load_manifest(path))
+    if len(manifest) == 0:
+        raise CliError(f"{path}: no samples left after the 5 < words < 150 length filter")
+    return manifest
+
+
 def _parse_mix(text: str) -> tuple[float, ...]:
     try:
         mix = tuple(float(x) for x in text.split(","))
@@ -151,19 +160,18 @@ def cmd_train(args) -> int:
     if args.eval_manifest is not None and holdout > 0.0:
         raise CliError(f"give --eval-manifest or holdout {holdout}, not both")
     config = fusion_preset(settings["preset"], modality=settings["modality"])
-    manifest = dio.load_manifest(args.manifest)
-    manifest = dio.filter_by_length(manifest)
-    if len(manifest) == 0:
-        raise CliError("no samples left after the 5 < words < 150 length filter")
+    manifest = _load_filtered(args.manifest)
     table = _load_table(config, args.embeddings, seed)
     base_dir = Path(args.manifest).parent
     eval_samples = None
     if args.eval_manifest is not None:
-        eval_manifest = dio.filter_by_length(dio.load_manifest(args.eval_manifest))
+        eval_manifest = _load_filtered(args.eval_manifest)
         eval_samples = dio.materialize(eval_manifest, Path(args.eval_manifest).parent,
                                        config, table)
     elif holdout > 0.0:
         manifest, eval_manifest = dio.split_train_test(manifest, seed, train_frac=1.0 - holdout)
+        if len(manifest) == 0:
+            raise CliError(f"{args.manifest}: holdout {holdout} leaves no training samples")
         eval_samples = dio.materialize(eval_manifest, base_dir, config, table)
     train_samples = dio.materialize(manifest, base_dir, config, table)
 
@@ -173,8 +181,10 @@ def cmd_train(args) -> int:
           f"({cfg.epochs} epochs, batch {cfg.batch_size})", file=sys.stderr)
     params, history = run_training(params, train_samples, cfg, table=table,
                                    eval_samples=eval_samples, out_dir=args.out)
-    for record in history.epochs[-2:]:
-        print(f"{record.split} {record.metrics.row()}")
+    # the rows of the last evaluation: train, then test when there is a test split
+    for record in history.epochs:
+        if record.epoch == history.epochs[-1].epoch:
+            print(f"{record.split} {record.metrics.row()}")
     print(f"checkpoints and history written under {args.out}", file=sys.stderr)
     return 0
 
@@ -186,6 +196,8 @@ def cmd_eval(args) -> int:
     params = dio.load_checkpoint(args.checkpoint)
     table = _load_table(params.config, args.embeddings, settings["seed"])
     manifest = dio.load_manifest(args.manifest)
+    if len(manifest) == 0:
+        raise CliError(f"{args.manifest}: no samples to evaluate")
     samples = dio.materialize(manifest, Path(args.manifest).parent, params.config, table)
     report = evaluate(params, samples, table)
     print(report.row())
@@ -306,6 +318,9 @@ def main(argv=None) -> int:
     # every loader error type (manifest, word vectors, PPM, checkpoint) is a ValueError;
     # a TrainingError is a run that cannot go on, such as a loss gone non-finite
     except (CliError, ValueError, OSError, TrainingError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # the path as given, where str(exc) would show its repr
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

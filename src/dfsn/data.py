@@ -13,7 +13,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,7 +65,6 @@ class Sample:
 @dataclass
 class Manifest:
     samples: list[Sample] = field(default_factory=list)
-    split: str = "unsplit"
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -121,7 +120,7 @@ def save_manifest(manifest: Manifest, path) -> None:
 def filter_by_length(manifest: Manifest) -> Manifest:
     """Keep samples whose token count t satisfies 5 < t < 150, order preserved."""
     kept = [s for s in manifest.samples if 5 < len(tokenize(s.text)) < 150]
-    return replace(manifest, samples=kept)
+    return Manifest(samples=kept)
 
 
 def split_train_test(manifest: Manifest, seed: int,
@@ -134,8 +133,7 @@ def split_train_test(manifest: Manifest, seed: int,
     n_train = int(math.floor(train_frac * len(manifest.samples)))
     train = [manifest.samples[i] for i in perm[:n_train]]
     test = [manifest.samples[i] for i in perm[n_train:]]
-    return (replace(manifest, samples=train, split="train"),
-            replace(manifest, samples=test, split="test"))
+    return Manifest(samples=train), Manifest(samples=test)
 
 
 # -- word vectors --------------------------------------------------------------

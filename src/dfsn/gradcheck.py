@@ -76,8 +76,7 @@ def _relative_error(analytic: float, numeric: float) -> float:
 def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
                eps: float = 1e-3, tol: float = 1e-4,
                sample: Optional[int] = None,
-               rng: Optional[np.random.Generator] = None,
-               smooth_only: bool = False) -> GradCheckReport:
+               rng: Optional[np.random.Generator] = None) -> GradCheckReport:
     """Compare analytic gradients of ``fn`` against central differences.
 
     ``fn`` must map the given tensors to a scalar tensor and be deterministic.
@@ -87,22 +86,18 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
 
     When ``sample`` is given, only that many pseudo-randomly chosen elements
     per input are probed (``rng`` is then required); otherwise every element
-    is checked. With ``smooth_only`` set, probes whose +/- eps interval flips
-    any ReLU mask or pooling argmax are skipped and counted instead of
-    compared: central differences are undefined across those switch points.
+    is checked. Probes whose +/- eps interval flips any ReLU mask or pooling
+    argmax are skipped and counted instead of compared: central differences
+    are undefined across those switch points.
     Input values are modified in place during probing and restored afterwards.
     """
     if sample is not None and rng is None:
         raise ValueError("sampled grad_check needs an rng for index selection")
 
     zero_grads(inputs)
-    base_signature = None
-    if smooth_only:
-        with capture_switch_signature() as sink:
-            loss = fn(*inputs)
-        base_signature = tuple(sink)
-    else:
+    with capture_switch_signature() as sink:
         loss = fn(*inputs)
+    base_signature = tuple(sink)
     if not isinstance(loss, Tensor) or loss.values.size != 1:
         raise ShapeError("grad_check: fn must return a scalar tensor")
     backward(loss)
@@ -111,8 +106,6 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
                 for t in inputs]
 
     def probe_once(current_inputs):
-        if not smooth_only:
-            return fn(*current_inputs).item(), True
         with capture_switch_signature() as sink:
             value = fn(*current_inputs).item()
         return value, tuple(sink) == base_signature

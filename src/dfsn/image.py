@@ -8,14 +8,15 @@ whose flattened output is the image feature vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .autodiff import (LayerParams, Tensor, ShapeError, check_int, conv2d, init_layers, lrn,
                        maxpool2d, relu)
 
-DEFAULT_CHANNEL_MEAN = (0.5, 0.5, 0.5)
+# the per-channel dataset mean that preprocessing subtracts
+CHANNEL_MEAN = 0.5
 
 
 @dataclass(frozen=True)
@@ -163,13 +164,11 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return cols[y0] * (1 - fy) + cols[y1] * fy
 
 
-def preprocess_image(raw: np.ndarray, side: int = 224,
-                     channel_mean: Sequence[float] = DEFAULT_CHANNEL_MEAN,
-                     dtype=np.float64) -> np.ndarray:
+def preprocess_image(raw: np.ndarray, side: int = 224, dtype=np.float64) -> np.ndarray:
     """Decoded (H, W, 3) pixels to a centered (3, side, side) float tensor.
 
     Pixels are scaled to [0, 1] (dividing by 255 when the input is integer),
-    bilinearly resized, then shifted by the per-channel dataset mean.
+    bilinearly resized, then shifted by ``CHANNEL_MEAN`` in every channel.
     """
     arr = np.asarray(raw)
     if arr.ndim != 3 or arr.shape[2] != 3:
@@ -180,11 +179,7 @@ def preprocess_image(raw: np.ndarray, side: int = 224,
     if np.issubdtype(arr.dtype, np.integer):
         scaled = scaled / 255.0
     resized = bilinear_resize(scaled, side, side)
-    mean = np.asarray(channel_mean, dtype=np.float64)
-    if mean.shape != (3,):
-        raise ValueError(f"channel_mean must have 3 entries, got {mean.shape}")
-    centered = resized - mean[None, None, :]
-    return centered.transpose(2, 0, 1).astype(dtype)
+    return (resized - CHANNEL_MEAN).transpose(2, 0, 1).astype(dtype)
 
 
 def init_image_params(config: ConvStackConfig, rng: Optional[np.random.Generator],
@@ -196,12 +191,12 @@ def init_image_params(config: ConvStackConfig, rng: Optional[np.random.Generator
 def encode_image(img, params: LayerParams) -> Tensor:
     """Run the stack and flatten each image's final pooling output.
 
-    ``img`` is a (3, S, S) image or an (N, 3, S, S) batch, as an array or a
-    tensor; the result is (features,) or (N, features). Shape mismatches raise
-    with the offending layer named.
+    ``img`` is a (3, S, S) image or an (N, 3, S, S) batch array; the result
+    is (features,) or (N, features). Shape mismatches raise with the
+    offending layer named.
     """
     cfg = params.config
-    x = img if isinstance(img, Tensor) else Tensor(img)
+    x = Tensor(img)
     if x.ndim not in (3, 4) or x.shape[-3:] != (cfg.in_channels, cfg.input_side, cfg.input_side):
         raise ShapeError(
             f"input shape {x.shape} != expected "

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (LayerParams, Tensor, ShapeError, bias_add, check_int, concat,
+from .autodiff import (LayerParams, Tensor, bias_add, check_int, concat,
                        init_layers, matmul, relu, softmax_cross_entropy, stable_softmax)
 from .image import (ConvStackConfig, ConvLayerSpec, encode_image, image_preset,
                     init_image_params, preprocess_image)
@@ -55,12 +55,13 @@ class FusionConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
     @property
-    def fused_size(self) -> int:
+    def feature_size(self) -> int:
+        """Width of the fused features the head reads: the branches' sizes summed."""
         return sum(b.feature_size for b in (self.image, self.text) if b is not None)
 
     def head_layers(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
         """(layer number, weight shape, bias shape) of each fully-connected layer."""
-        widths = [self.fused_size, self.hidden1, self.hidden2, NUM_CLASSES]
+        widths = [self.feature_size, self.hidden1, self.hidden2, NUM_CLASSES]
         return [(i, (widths[i - 1], widths[i]), (widths[i],)) for i in range(1, len(widths))]
 
     def param_shapes(self) -> list[tuple[int, ...]]:
@@ -126,13 +127,6 @@ def _build_model(config: FusionConfig, rng: Optional[np.random.Generator]) -> Fu
         head=init_layers(config, "fc", config.head_layers(), rng, dtype))
 
 
-def fuse(x_i: Tensor, x_t: Tensor) -> Tensor:
-    """Concatenate the image feature block before the text feature block of each row."""
-    if x_i.shape[-1] == 0 or x_t.shape[-1] == 0:
-        raise ShapeError("fuse: both modalities are mandatory, got an empty feature vector")
-    return concat([x_i, x_t], axis=-1)
-
-
 def head_logits(x: Tensor, params: FusionModelParams) -> Tensor:
     """Three fully-connected layers with ReLU between; (N, features) in, (N, 2)
     raw logits out."""
@@ -167,7 +161,8 @@ class ModelSample:
 
 def encode_inputs(images: Sequence, token_lists: Sequence, params: FusionModelParams,
                   table: Optional[EmbeddingTable]) -> Tensor:
-    """(N, fused_size) branch features of a batch, fused if the model uses both.
+    """(N, feature_size) branch features of a batch: with both branches, each
+    row is its image block followed by its text block.
 
     ``images`` and ``token_lists`` hold one entry per sample; entries for a
     branch the model lacks may be None.
@@ -184,7 +179,7 @@ def encode_inputs(images: Sequence, token_lists: Sequence, params: FusionModelPa
         if table is None:
             raise ValueError("text encoding needs an embedding table")
         parts.append(encode_sentence_matrix(token_lists, table, params.text_params))
-    return fuse(*parts) if len(parts) == 2 else parts[0]
+    return concat(parts, axis=1) if len(parts) == 2 else parts[0]
 
 
 def batch_loss(batch: Sequence[ModelSample], params: FusionModelParams,
@@ -216,17 +211,14 @@ def predict(image, text, params: FusionModelParams,
     """Classify one raw (H, W, 3) image / text pair as a batch of one; ties go
     to label 0.
 
-    ``image`` is decoded pixels (preprocessing happens here); ``text`` may be
-    a raw string or a token list. Inputs for a branch the model lacks may be
-    None.
+    ``image`` is decoded pixels and ``text`` a raw string; preprocessing and
+    tokenizing happen here. Inputs for a branch the model lacks may be None.
     """
     cfg = params.config
     img = None
     if cfg.image is not None:
         img = preprocess_image(image, cfg.image.input_side, dtype=cfg.np_dtype)
-    tokens = None
-    if cfg.text is not None:
-        tokens = tokenize(text) if isinstance(text, str) else list(text)
+    tokens = None if cfg.text is None else tokenize(text)
     probs = forward(encode_inputs([img], [tokens], params, table), params)[0]
     return Prediction(label=int(predicted_label(probs)), p_neg=float(probs[0]),
                       p_pos=float(probs[1]))

@@ -60,7 +60,7 @@ class EmbeddingTable:
     deterministic out-of-vocabulary fallback.
 
     Row 0 is the zero padding row and no word maps to it. The words given at
-    construction (the vector file's) take rows 1..len(table) in order; an
+    construction (the vector file's) take the rows after it in order; an
     unknown word gets its ``oov_vector`` row appended on first lookup, so its
     values do not depend on the order words are first seen. Storage doubles
     when full, so appends are amortised. Vectors are frozen: nothing here ever
@@ -82,13 +82,6 @@ class EmbeddingTable:
                 raise ValueError(f"vector for {word!r} has shape {arr.shape}, expected ({dim},)")
             self._storage[row] = arr
             self._rows[word] = row
-        self._loaded = len(self._rows)
-
-    def __len__(self) -> int:
-        return self._loaded
-
-    def __contains__(self, word: str) -> bool:
-        return 0 < self._rows.get(word, 0) <= self._loaded
 
     @property
     def matrix(self) -> np.ndarray:

@@ -80,46 +80,43 @@ def apply_gradients(params: FusionModelParams, lr: float) -> None:
 # -- metrics -------------------------------------------------------------------
 
 
+def _ratio(num, den) -> float:
+    return 0.0 if den == 0 else num / den
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Confusion counts and the derived precision/recall/F1/accuracy.
 
-    The positive class is label 1. Metrics whose denominator is zero are
-    reported as 0.0 and listed in ``undefined`` instead of raising.
+    The positive class is label 1. A metric whose denominator is zero is
+    reported as 0.0 instead of raising.
     """
 
     tp: int
     fp: int
     fn: int
     tn: int
-    precision: float = field(init=False)
-    recall: float = field(init=False)
-    f1: float = field(init=False)
-    accuracy: float = field(init=False)
-    undefined: frozenset[str] = field(init=False)
-
-    def __post_init__(self):
-        undefined = set()
-
-        def ratio(name, num, den):
-            if den == 0:
-                undefined.add(name)
-                return 0.0
-            return num / den
-
-        p = ratio("precision", self.tp, self.tp + self.fp)
-        r = ratio("recall", self.tp, self.tp + self.fn)
-        f1 = ratio("f1", 2.0 * p * r, p + r)
-        acc = ratio("accuracy", self.tp + self.tn, self.total)
-        object.__setattr__(self, "precision", p)
-        object.__setattr__(self, "recall", r)
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "accuracy", acc)
-        object.__setattr__(self, "undefined", frozenset(undefined))
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
+
+    @property
+    def precision(self) -> float:
+        return _ratio(self.tp, self.tp + self.fp)
+
+    @property
+    def recall(self) -> float:
+        return _ratio(self.tp, self.tp + self.fn)
+
+    @property
+    def f1(self) -> float:
+        p, r = self.precision, self.recall
+        return _ratio(2.0 * p * r, p + r)
+
+    @property
+    def accuracy(self) -> float:
+        return _ratio(self.tp + self.tn, self.total)
 
     def row(self) -> str:
         """The four metric columns in presentation order: Prec. Rec. F1 Acc."""

@@ -224,8 +224,7 @@ def run_model_check(seed: int = 0, eps: float = 1e-3, tol: float = 1e-4,
     def fn(*_):
         return batch_loss([sample], params, table)
 
-    return grad_check(fn, tensors, eps=eps, tol=tol, sample=sample_per_tensor,
-                      rng=rng, smooth_only=True)
+    return grad_check(fn, tensors, eps=eps, tol=tol, sample=sample_per_tensor, rng=rng)
 
 
 def run_gradcheck_suite(seed: int = 0, trials: int = 20, eps: float = 1e-3,

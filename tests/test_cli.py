@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from dfsn.cli import build_parser, main, parse_flat_config
-from dfsn.data import gen_synthetic, save_checkpoint, save_manifest, save_ppm
+from dfsn.data import (Manifest, Sample, gen_synthetic, save_checkpoint, save_manifest,
+                       save_ppm)
 from dfsn.model import empty_model, fusion_preset, init_model
 
 
@@ -99,6 +100,26 @@ class TestTrainEvalPredict:
         assert len(fields) == 4
         for f in fields:
             assert 0.0 <= float(f) <= 1.0
+
+    # rows of the last evaluated epoch only: train, then test with a test split
+    @pytest.mark.parametrize("holdout,eval_every,splits", [("0", "1", ["train"]),
+                                                           ("0", "2", ["train"]),
+                                                           ("0.25", "1", ["train", "test"])])
+    def test_train_prints_the_rows_of_its_last_evaluation(self, holdout, eval_every, splits,
+                                                          dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, stdout, stderr = run(
+            capsys, "train", "--manifest", str(dataset / "manifest.jsonl"), "--out", str(out),
+            "--epochs", "3", "--batch-size", "6", "--lr", "0.05", "--holdout", holdout,
+            "--eval-every", eval_every)
+        assert code == 0, stderr
+        records = [line.split(",")[1:] for line in
+                   (out / "history.csv").read_text().splitlines() if line.startswith("epoch,")]
+        last = str(3 // int(eval_every) * int(eval_every))
+        assert stdout.splitlines() == [
+            f"{split} " + " ".join(f"{float(v):.3f}" for v in values)
+            for epoch, split, *values in records if epoch == last]
+        assert [line.split()[0] for line in stdout.splitlines()] == splits
 
     def test_train_determinism_across_runs(self, dataset, tmp_path, capsys):
         outs = []
@@ -335,6 +356,32 @@ class TestMalformedInputsExitNonzero:
         assert stderr.startswith("error:")
         assert "audio" in stderr
         assert "Traceback" not in stderr
+
+    # each ends before any training step, with the file that holds no usable sample named
+    @pytest.mark.parametrize("case", ["train-filtered", "eval-manifest-filtered",
+                                      "holdout-leaves-none", "eval-empty"])
+    def test_empty_dataset_named_before_training(self, case, zero_checkpoint, dataset,
+                                                 tmp_path, capsys):
+        full = str(dataset / "manifest.jsonl")
+        empty = tmp_path / "empty.jsonl"
+        text = "" if case == "eval-empty" else (
+            "one two three four five six" if case == "holdout-leaves-none" else "too short")
+        save_manifest(Manifest([Sample("a0", str(dataset / "images" / "a00000.ppm"), text, 1)]
+                               if text else []), empty)
+        out = ["--out", str(tmp_path / "run")]
+        argv = {"train-filtered": ["train", "--manifest", str(empty), *out],
+                "eval-manifest-filtered": ["train", "--manifest", full,
+                                           "--eval-manifest", str(empty), *out],
+                "holdout-leaves-none": ["train", "--manifest", str(empty), "--holdout", "0.5",
+                                        *out],
+                "eval-empty": ["eval", "--checkpoint", str(zero_checkpoint),
+                               "--manifest", str(empty)]}[case]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+        assert str(empty) in stderr
+        assert not (tmp_path / "run").exists()
 
     def test_manifest_line_not_an_object(self, tmp_path, capsys):
         manifest = tmp_path / "five.jsonl"

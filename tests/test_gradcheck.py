@@ -80,28 +80,26 @@ class TestSampling:
 
 
 class TestSwitchPointSkipping:
+    """grad_check always runs in smooth mode: it skips a probe pair whose ReLU
+    masks or pooling picks differ from the unperturbed pass's."""
+
     def test_probe_across_relu_kink_skipped_in_smooth_mode(self):
         # 0.0005 < eps, so the minus probe flips the mask
         t = Tensor([0.0005], requires_grad=True)
-        naive = grad_check(lambda x: relu(x).sum(), [t], eps=1e-3, tol=1e-4)
-        assert not naive.passed  # numeric slope is ~0.5 against analytic 1.0
-        smooth = grad_check(lambda x: relu(x).sum(), [t], eps=1e-3, tol=1e-4,
-                            smooth_only=True)
-        assert smooth.entries[0].skipped == 1
-        assert smooth.entries[0].compared == 0
+        report = grad_check(lambda x: relu(x).sum(), [t], eps=1e-3, tol=1e-4)
+        assert report.entries[0].skipped == 1
+        assert report.entries[0].compared == 0
 
     def test_smooth_mode_keeps_clear_probes(self):
         t = Tensor([0.5, -0.5, 2.0], requires_grad=True)
-        report = grad_check(lambda x: relu(x).sum(), [t], eps=1e-3, tol=1e-6,
-                            smooth_only=True)
+        report = grad_check(lambda x: relu(x).sum(), [t], eps=1e-3, tol=1e-6)
         assert report.passed
         assert report.entries[0].compared == 3
         assert report.entries[0].skipped == 0
 
     def test_all_skipped_does_not_count_as_pass(self):
         t = Tensor([0.0], requires_grad=True)
-        report = grad_check(lambda x: relu(x).sum(), [t], eps=1e-3, tol=1e-4,
-                            smooth_only=True)
+        report = grad_check(lambda x: relu(x).sum(), [t], eps=1e-3, tol=1e-4)
         assert report.compared == 0
         assert not report.passed
 

@@ -3,9 +3,10 @@
 Each test starts from a valid file written by the package's own writer (or,
 for word vectors, a two-word file), applies byte flips, truncations and
 insertions, and asserts that the loader either returns or raises its own
-format error: nothing else may escape. The command-line tests feed mutated
-``--config``, ``--history`` and ``--embeddings`` files through ``cli.main``,
-which must exit 0, or exit 1 with an ``error:`` line that names the file.
+format error: nothing else may escape. The command-line tests feed every kind
+of file the CLI reads, mutated, through ``cli.main``, which must exit 0, or
+exit 1 with an ``error:`` line that names the file (for a manifest, the file or
+an image path one of its lines points to).
 """
 
 import contextlib
@@ -59,6 +60,13 @@ def files(tmp_path_factory):
                   d / "manifest.jsonl")
     (d / "vectors.txt").write_text("2 3\nhello 0.1 -0.2 3e-1\nworld 1 2 3\n", encoding="utf-8")
     save_ppm(d / "image.ppm", np.arange(48, dtype=np.uint8).reshape(4, 4, 3))
+    # two samples that pass the 5 < words < 150 filter, for train and eval
+    (d / "images").mkdir()
+    for name in ("a0", "b1"):
+        save_ppm(d / "images" / f"{name}.ppm", np.full((4, 4, 3), 99, dtype=np.uint8))
+    save_manifest(Manifest([Sample("a0", "images/a0.ppm", "a wonderful bright morning in town", 1),
+                            Sample("b1", "images/b1.ppm", "a gray and dull day again", 0)]),
+                  d / "train.jsonl")
     save_checkpoint(init_model(fusion_preset("tiny"), seed=3), d / "tiny.dfsn")
     text_only = FusionConfig(image=None, hidden1=4, hidden2=3,
                              text=TextConfig(dim=3, max_len=8, widths=(2, 3),
@@ -120,9 +128,10 @@ def test_checkpoint(files, recompute_crc, data):
     assert_loads_or_format_error(files, load_checkpoint, CheckpointFormatError, mutated)
 
 
-def assert_main_exits_cleanly(files, name, blob, argv):
+def assert_main_exits_cleanly(files, name, blob, argv, also_named=lambda path: []):
     """Run ``cli.main`` on ``argv`` with ``blob`` as the file ``name``: it must
-    exit 0, or exit 1 with one ``error:`` message that names that file."""
+    exit 0, or exit 1 with one ``error:`` message that names that file or one
+    of the paths ``also_named`` gives for it."""
     path = files / name
     path.write_bytes(blob)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -131,7 +140,15 @@ def assert_main_exits_cleanly(files, name, blob, argv):
     if code != 0:
         assert code == 1
         assert stderr.getvalue().startswith("error: ")
-        assert str(path) in stderr.getvalue()
+        assert any(str(named) in stderr.getvalue() for named in [path, *also_named(path)])
+
+
+def image_paths(path):
+    """The image paths a manifest's lines point to, or none if it does not load."""
+    try:
+        return [path.parent / s.image_path for s in load_manifest(path)]
+    except ManifestError:
+        return []
 
 
 PREDICT = ["predict", "--checkpoint", "{dir}/text.dfsn", "--text", "hello brave new world"]
@@ -162,3 +179,38 @@ def test_main_embeddings(files, data):
     edits = data.draw(mutations(len(blob), 8))
     assert_main_exits_cleanly(files, "mutated.txt", mutate(blob, edits),
                               PREDICT + ["--embeddings", "{path}"])
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_main_manifest(files, command, data):
+    blob = (files / "train.jsonl").read_bytes()
+    edits = data.draw(mutations(len(blob), 64))
+    argv = {"eval": ["eval", "--checkpoint", "{dir}/tiny.dfsn", "--manifest", "{path}"],
+            "train": ["train", "--manifest", "{path}", "--out", "{dir}/run", "--preset", "tiny",
+                      "--epochs", "1", "--batch-size", "2"]}[command]
+    assert_main_exits_cleanly(files, "mutated.jsonl", mutate(blob, edits), argv,
+                              also_named=image_paths)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_main_ppm(files, data):
+    blob = (files / "image.ppm").read_bytes()
+    edits = data.draw(mutations(len(blob), 11))
+    assert_main_exits_cleanly(files, "mutated.ppm", mutate(blob, edits),
+                              ["predict", "--checkpoint", "{dir}/tiny.dfsn", "--image", "{path}",
+                               "--text", "hello brave new world"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_main_checkpoint(files, data):
+    body = (files / "tiny.dfsn").read_bytes()[:-4]
+    header = 11 + int.from_bytes(body[7:11], "little") + 64
+    mutated = mutate(body, data.draw(mutations(len(body), header)))
+    mutated += struct.pack("<I", zlib.crc32(mutated))
+    assert_main_exits_cleanly(files, "mutated.dfsn", mutated,
+                              ["predict", "--checkpoint", "{path}", "--image", "{dir}/image.ppm",
+                               "--text", "hello brave new world"])

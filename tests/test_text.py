@@ -78,12 +78,12 @@ class TestEmbeddingTable:
         assert table.matrix.shape == (103, 3)
         assert np.all(table.matrix[0] == 0.0)
 
-    def test_length_and_membership_count_loaded_words_only(self):
-        table = EmbeddingTable(dim=2, vectors={"a": np.ones(2), "b": np.zeros(2)})
-        table.row_ids(["a", "oov", "other"])
-        assert len(table) == 2
-        assert "a" in table and "b" in table
-        assert "oov" not in table
+    def test_loaded_words_take_the_rows_after_padding_in_order(self):
+        table = EmbeddingTable(dim=2, vectors={"a": np.ones(2), "b": np.full(2, 2.0)})
+        assert table.row_ids(["b", "a", "oov", "other"]) == [2, 1, 3, 4]
+        assert table.matrix.shape == (5, 2)
+        assert table.matrix[:3].tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+        assert np.array_equal(table.matrix[3], oov_vector("oov", 2))
 
 
 class TestEmbedSentence:
@@ -349,7 +349,7 @@ class TestEncodeText:
             return (encode_sentence_matrix([tokens], table, params) * proj).sum()
 
         inputs = [params.weights[3], params.biases[3], params.weights[5]]
-        report = grad_check(fn, inputs, eps=1e-4, tol=1e-5, smooth_only=True)
+        report = grad_check(fn, inputs, eps=1e-4, tol=1e-5)
         assert report.passed, str(report)
 
     def test_preset_sizes(self):

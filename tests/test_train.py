@@ -138,7 +138,6 @@ class TestMetrics:
         assert m.recall == pytest.approx(0.75)
         assert m.f1 == pytest.approx(0.75)
         assert m.accuracy == pytest.approx(0.8)
-        assert not m.undefined
 
     def test_perfect_classifier(self):
         m = MetricsReport(tp=4, fp=0, fn=0, tn=6)
@@ -148,8 +147,8 @@ class TestMetrics:
         m = MetricsReport(tp=0, fp=0, fn=5, tn=5)
         assert m.accuracy == pytest.approx(0.5)
         assert m.recall == 0.0
-        assert "precision" in m.undefined
-        assert "f1" in m.undefined
+        assert m.precision == 0.0  # no positive predictions: zero denominator
+        assert m.f1 == 0.0
 
     def test_row_formatting(self):
         m = MetricsReport(tp=4, fp=0, fn=0, tn=6)
