@@ -60,15 +60,6 @@ def _record_switch(build: Callable[[], np.ndarray]) -> None:
         _SWITCH_SINK.append(build().tobytes())
 
 
-def _coerce_values(data, dtype) -> np.ndarray:
-    arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
-    if arr.dtype == np.float32 or arr.dtype == np.float64:
-        return arr
-    return arr.astype(np.float64)
-
-
 class Tensor:
     """N-dimensional array plus an optional gradient buffer.
 
@@ -76,13 +67,15 @@ class Tensor:
     produced by operations are treated as immutable; parameters (leaves)
     may be updated in place by an optimizer between backward passes.
     ``grad`` matches ``values`` in shape and dtype once populated; only a
-    leaf (a tensor without a backward rule) gets one.
+    leaf (a tensor without a backward rule) gets one. Float32 and float64
+    data keep their dtype; any other data becomes float64.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_op", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.values = _coerce_values(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        self.values = arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._op: Optional[str] = None

@@ -28,7 +28,6 @@ CONFIG_DEFAULTS = {
     "seed": 0,               # master seed for init, shuffling, fallbacks
     "batch_size": 100,
     "lr": 1e-4,              # initial learning rate
-    "decay_base": 0.96,
     "decay_every": 3000,
     "epochs": 10,
     "eval_every": 1,
@@ -143,9 +142,8 @@ def cmd_gen_data(args) -> int:
 
 def _build_train_config(settings) -> TrainConfig:
     return TrainConfig(batch_size=settings["batch_size"], initial_lr=settings["lr"],
-                       decay_base=settings["decay_base"], decay_every=settings["decay_every"],
-                       epochs=settings["epochs"], seed=settings["seed"],
-                       eval_every=settings["eval_every"])
+                       decay_every=settings["decay_every"], epochs=settings["epochs"],
+                       seed=settings["seed"], eval_every=settings["eval_every"])
 
 
 def cmd_train(args) -> int:
@@ -267,7 +265,6 @@ FLAGS = {
     "out": dict(help="output file or directory"),
     "batch-size": dict(),
     "lr": dict(help="initial learning rate"),
-    "decay-base": dict(),
     "decay-every": dict(),
     "epochs": dict(),
     "eval-every": dict(),
@@ -285,7 +282,7 @@ COMMANDS = {
                  "config seed out n mix"),
     "train": (cmd_train, "train a model and write checkpoints + history",
               "config seed preset modality embeddings manifest eval-manifest out batch-size lr "
-              "decay-base decay-every epochs eval-every holdout"),
+              "decay-every epochs eval-every holdout"),
     "eval": (cmd_eval, "print Prec. Rec. F1 Acc. for a checkpoint",
              "config seed embeddings manifest checkpoint"),
     "predict": (cmd_predict, "classify one image + text pair",

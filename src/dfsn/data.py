@@ -8,6 +8,7 @@ binary PPM (P6) images, and a little-endian binary checkpoint with a CRC.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -241,22 +242,17 @@ def save_ppm(path, pixels: np.ndarray) -> None:
 # -- checkpoints ----------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"DFSN1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _checkpoint_chunks(params: FusionModelParams):
     """The checkpoint's bytes before the CRC: the header, then each tensor's
-    record followed by its little-endian float32 payload, which is not copied
-    when the tensor already holds contiguous float32 values."""
+    little-endian float32 payload in ``named_tensors()`` order, which is not
+    copied when the tensor already holds contiguous float32 values."""
     config_json = json.dumps(config_to_dict(params.config),
                              sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tensors = params.named_tensors()
-    yield (CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(config_json))
-           + config_json + struct.pack("<I", len(tensors)))
-    for name, tensor in tensors.items():
-        name_bytes = name.encode("utf-8")
-        yield struct.pack(f"<H{len(name_bytes)}sB{tensor.ndim}I", len(name_bytes), name_bytes,
-                          tensor.ndim, *tensor.shape)
+    yield CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(config_json)) + config_json
+    for tensor in params.tensors():
         yield memoryview(np.ascontiguousarray(tensor.values, "<f4")).cast("B")
 
 
@@ -265,92 +261,71 @@ def save_checkpoint(params: FusionModelParams, path) -> None:
 
     The bytes stream to a temporary file, with the CRC updated as they go,
     and the file is synced to disk before an atomic rename, so a crash
-    leaves either the old file or the new one. Round trips are bit-exact for
-    float32 parameter tensors; float64 tensors are stored at float32
-    precision.
+    leaves either the old file or the new one; a failed write removes the
+    temporary file and raises an ``OSError`` naming ``path``. Round trips are
+    bit-exact for float32 parameter tensors; float64 tensors are stored at
+    float32 precision.
     """
     tmp = str(path) + ".tmp"
     crc = 0
-    with open(tmp, "wb") as fh:
-        for chunk in _checkpoint_chunks(params):
-            crc = zlib.crc32(chunk, crc)
-            fh.write(chunk)
-        fh.write(struct.pack("<I", crc))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in _checkpoint_chunks(params):
+                crc = zlib.crc32(chunk, crc)
+                fh.write(chunk)
+            fh.write(struct.pack("<I", crc))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def load_checkpoint(path) -> FusionModelParams:
-    """Read a checkpoint, validating magic, version, CRC, and tensor shapes
-    against the parameter structure the echoed config implies."""
+    """Read a checkpoint, validating magic, CRC, version, the config block,
+    and that the payload holds exactly the float32 values of the tensors that
+    config lays out, each one finite."""
     with open(path, "rb") as fh:
         data = fh.read()
-    view = memoryview(data)  # every record and payload is read through views of this one buffer
-    if len(data) < len(CHECKPOINT_MAGIC) + 2 + 4 + 4:
+    header = len(CHECKPOINT_MAGIC) + 2 + 4
+    if len(data) < header + 4:
         raise CheckpointFormatError(f"{path}: file too short to be a checkpoint")
     if data[:5] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {data[:5]!r}")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(view[:-4]) != stored_crc:
+    view = memoryview(data)  # the config and payload are read through views of this buffer
+    if zlib.crc32(view[:-4]) != struct.unpack("<I", data[-4:])[0]:
         raise CheckpointFormatError(f"{path}: checksum mismatch, file is corrupt")
     # a valid CRC proves only that the writer's bytes arrived intact, not that
-    # the writer laid them out right, so every read below is bounds-checked
-    pos = 5
-    end = len(data) - 4
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > end:
-            raise CheckpointFormatError(f"{path}: record at byte {pos} overruns the file")
-        pos += n
-        return view[pos - n:pos]
-
+    # the writer laid them out right, so every field below is checked
+    version, config_len = struct.unpack_from("<HI", data, 5)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointFormatError(
+            f"{path}: version {version} unsupported (expected {CHECKPOINT_VERSION})")
+    payload_start, end = header + config_len, len(data) - 4
+    if payload_start > end:
+        raise CheckpointFormatError(f"{path}: the {config_len}-byte config block overruns the file")
     try:
-        (version,) = struct.unpack("<H", take(2))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(
-                f"{path}: version {version} unsupported (expected {CHECKPOINT_VERSION})")
-        (config_len,) = struct.unpack("<I", take(4))
-        config_bytes = take(config_len)
-        try:
-            config = config_from_dict(json.loads(bytes(config_bytes).decode("utf-8")))
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise CheckpointFormatError(f"{path}: bad config block ({exc})") from None
-        (tensor_count,) = struct.unpack("<I", take(4))
-        # a few config bytes can imply any number of parameters: check the
-        # file holds their 4-byte payloads before allocating the model
-        implied = sum(math.prod(shape) for shape in config.param_shapes())
-        if 4 * implied > end - pos:
-            raise CheckpointFormatError(
-                f"{path}: the {implied} parameter values of the config's tensor shapes "
-                f"need {4 * implied} bytes, which overruns the {end - pos} bytes left")
-        params = empty_model(config)
-        expected = params.named_tensors()
-        seen = set()
-        for _ in range(tensor_count):
-            (name_len,) = struct.unpack("<H", take(2))
-            name = bytes(take(name_len)).decode("utf-8")
-            (ndim,) = take(1)
-            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            if name not in expected:
-                raise CheckpointFormatError(f"{path}: unexpected tensor {name!r} for this config")
-            target = expected[name]
-            if shape != target.shape:
-                raise CheckpointFormatError(
-                    f"{path}: tensor {name!r} has shape {shape}, config implies {target.shape}")
-            values = np.frombuffer(take(4 * target.numel), dtype="<f4").reshape(shape)
-            if not np.isfinite(values).all():
-                raise CheckpointFormatError(f"{path}: tensor {name!r} holds non-finite values")
-            target.values[...] = values
-            seen.add(name)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise CheckpointFormatError(f"{path}: malformed tensor table ({exc})") from None
-    if pos != end:
-        raise CheckpointFormatError(f"{path}: {end - pos} unexpected trailing bytes")
-    missing = sorted(set(expected) - seen)
-    if missing:
-        raise CheckpointFormatError(f"{path}: missing tensors {missing}")
+        config = config_from_dict(json.loads(bytes(view[header:payload_start]).decode("utf-8")))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise CheckpointFormatError(f"{path}: bad config block ({exc})") from None
+    # a few config bytes can imply any number of parameters: check the
+    # payload holds exactly their 4-byte values before allocating the model
+    implied = sum(math.prod(shape) for shape in config.param_shapes())
+    if 4 * implied != end - payload_start:
+        raise CheckpointFormatError(
+            f"{path}: the config's tensors need {4 * implied} payload bytes "
+            f"({implied} float32 values), the file holds {end - payload_start}")
+    params = empty_model(config)
+    values = np.frombuffer(view[payload_start:end], dtype="<f4")
+    offset = 0
+    for name, tensor in params.named_tensors().items():
+        chunk = values[offset:offset + tensor.numel]
+        if not np.isfinite(chunk).all():
+            raise CheckpointFormatError(f"{path}: tensor {name!r} holds non-finite values")
+        tensor.values[...] = chunk.reshape(tensor.shape)
+        offset += tensor.numel
     return params
 
 
@@ -497,5 +472,5 @@ def materialize(manifest: Manifest, base_dir, config: FusionConfig,
             pixels = load_ppm(base / s.image_path)
             image = preprocess_image(pixels, config.image.input_side, dtype=config.np_dtype)
         tokens = tokenize(s.text) if config.text is not None else None
-        out.append(ModelSample(image=image, tokens=tokens, label=s.label, id=s.id))
+        out.append(ModelSample(image=image, tokens=tokens, label=s.label))
     return out

@@ -18,6 +18,9 @@ from .autodiff import (LayerParams, Tensor, ShapeError, check_int, conv2d, init_
 # the per-channel dataset mean that preprocessing subtracts
 CHANNEL_MEAN = 0.5
 
+# input channels of every image: RGB
+CHANNELS = 3
+
 
 @dataclass(frozen=True)
 class ConvLayerSpec:
@@ -54,12 +57,9 @@ class ConvStackConfig:
 
     layers: tuple[ConvLayerSpec, ...]
     input_side: int = 224
-    in_channels: int = 3
-    preset: str = "custom"
 
     def __post_init__(self):
         check_int("input_side", self.input_side)
-        check_int("in_channels", self.in_channels)
         if len(self.layers) != 5:
             raise ValueError(f"the stack has exactly 5 convolutional layers, got {len(self.layers)}")
         if not self.layers[-1].has_pool:
@@ -68,7 +68,7 @@ class ConvStackConfig:
 
     def layer_shapes(self) -> list[tuple[int, int, int]]:
         """(channels, height, width) after each full layer, input excluded."""
-        c, h, w = self.in_channels, self.input_side, self.input_side
+        c, h, w = CHANNELS, self.input_side, self.input_side
         shapes = []
         for i, spec in enumerate(self.layers):
             h = (h + 2 * spec.pad - spec.kernel) // spec.stride + 1
@@ -91,7 +91,7 @@ class ConvStackConfig:
 
     def param_layers(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
         """(layer number, kernel shape, bias shape) of each layer, in checkpoint order."""
-        c_in = [self.in_channels] + [spec.out_channels for spec in self.layers]
+        c_in = [CHANNELS] + [spec.out_channels for spec in self.layers]
         return [(i, (spec.out_channels, c_in[i - 1], spec.kernel, spec.kernel),
                  (spec.out_channels,)) for i, spec in enumerate(self.layers, start=1)]
 
@@ -111,7 +111,6 @@ IMAGE_PRESETS = {
             ConvLayerSpec(256, 3, stride=1, pad=1, pool_window=3, pool_stride=2),
         ),
         input_side=224,
-        preset="full",
     ),
     "tiny": ConvStackConfig(
         layers=(
@@ -122,7 +121,6 @@ IMAGE_PRESETS = {
             ConvLayerSpec(8, 3, stride=1, pad=1, pool_window=2, pool_stride=2),
         ),
         input_side=16,
-        preset="tiny",
     ),
 }
 
@@ -171,7 +169,7 @@ def preprocess_image(raw: np.ndarray, side: int = 224, dtype=np.float64) -> np.n
     bilinearly resized, then shifted by ``CHANNEL_MEAN`` in every channel.
     """
     arr = np.asarray(raw)
-    if arr.ndim != 3 or arr.shape[2] != 3:
+    if arr.ndim != 3 or arr.shape[2] != CHANNELS:
         raise ShapeError(f"expected (H, W, 3) pixels, got {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("empty image")
@@ -197,10 +195,9 @@ def encode_image(img, params: LayerParams) -> Tensor:
     """
     cfg = params.config
     x = Tensor(img)
-    if x.ndim not in (3, 4) or x.shape[-3:] != (cfg.in_channels, cfg.input_side, cfg.input_side):
+    if x.ndim not in (3, 4) or x.shape[-3:] != (CHANNELS, cfg.input_side, cfg.input_side):
         raise ShapeError(
-            f"input shape {x.shape} != expected "
-            f"([N,] {cfg.in_channels}, {cfg.input_side}, {cfg.input_side})")
+            f"input shape {x.shape} != expected ([N,] {CHANNELS}, {cfg.input_side}, {cfg.input_side})")
     for spec, (i, expected, _) in zip(cfg.layers, cfg.param_layers()):
         kern = params.weights[i]
         if kern.shape != expected:

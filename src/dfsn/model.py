@@ -156,7 +156,6 @@ class ModelSample:
     image: Optional[np.ndarray]  # (3, S, S), preprocessed
     tokens: Optional[list[str]]
     label: int
-    id: str = ""
 
 
 def encode_inputs(images: Sequence, token_lists: Sequence, params: FusionModelParams,
@@ -228,27 +227,19 @@ def predict(image, text, params: FusionModelParams,
 
 
 def config_to_dict(config: FusionConfig) -> dict:
-    """Every config field and the derived ``modality`` (which older readers
-    need), nested configs as dicts; an absent branch is left out."""
-    out = {key: value for key, value in asdict(config).items() if value is not None}
-    return {**out, "modality": config.modality}
+    """Every config field, nested configs as dicts; an absent branch is left out."""
+    return {key: value for key, value in asdict(config).items() if value is not None}
 
 
 def config_from_dict(d: dict) -> FusionConfig:
-    """Inverse of ``config_to_dict``. Only the branch blocks the stored
-    modality uses are read: older single-modality files carry the unused one."""
-    modality = d["modality"]
-    if modality not in MODALITIES:
-        raise ValueError(f"stored modality {modality!r} is not one of {MODALITIES}")
-    image = None
-    if modality != "text":
+    """Inverse of ``config_to_dict``: the model has the branches whose blocks
+    are present."""
+    image = text = None
+    if "image" in d:
         img = d["image"]
-        image = ConvStackConfig(
-            layers=tuple(ConvLayerSpec(**layer) for layer in img["layers"]),
-            input_side=img["input_side"], in_channels=img["in_channels"],
-            preset=img.get("preset", "custom"))
-    text = None
-    if modality != "image":
+        image = ConvStackConfig(layers=tuple(ConvLayerSpec(**layer) for layer in img["layers"]),
+                                input_side=img["input_side"])
+    if "text" in d:
         tx = d["text"]
         text = TextConfig(dim=tx["dim"], max_len=tx["max_len"], widths=tuple(tx["widths"]),
                           filters_per_width=tx["filters_per_width"],

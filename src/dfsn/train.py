@@ -22,6 +22,10 @@ from .model import (FusionModelParams, ModelSample, batch_loss, encode_inputs,
 from .text import EmbeddingTable
 
 
+# the staircase schedule's factor per ``decay_every`` steps
+DECAY_BASE = 0.96
+
+
 class TrainingError(RuntimeError):
     """Training cannot continue (e.g. the loss went non-finite)."""
 
@@ -32,7 +36,6 @@ class TrainConfig:
 
     batch_size: int = 100
     initial_lr: float = 1e-4
-    decay_base: float = 0.96
     decay_every: int = 3000
     epochs: int = 10
     seed: int = 0
@@ -42,17 +45,15 @@ class TrainConfig:
         for name, low in (("batch_size", 1), ("decay_every", 1), ("epochs", 0),
                           ("eval_every", 0), ("seed", 0)):
             check_int(name, getattr(self, name), low)
-        if not (0.0 < self.decay_base <= 1.0):
-            raise ValueError("decay_base must be in (0, 1]")
         if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
             raise ValueError(f"initial_lr must be finite and positive, got {self.initial_lr}")
 
 
 def lr_at_step(step: int, cfg: TrainConfig) -> float:
-    """Staircase schedule: initial_lr * decay_base ** floor(step / decay_every)."""
+    """Staircase schedule: initial_lr * DECAY_BASE ** floor(step / decay_every)."""
     if step < 0:
         raise ValueError(f"step must be nonnegative, got {step}")
-    return cfg.initial_lr * cfg.decay_base ** (step // cfg.decay_every)
+    return cfg.initial_lr * DECAY_BASE ** (step // cfg.decay_every)
 
 
 def sgd_step(tensors: Sequence[Tensor], grads: Sequence[np.ndarray], lr: float) -> None:

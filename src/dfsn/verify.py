@@ -202,7 +202,7 @@ def _demo_sample(rng: np.random.Generator, config: FusionConfig,
         words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
         count = int(rng.integers(6, 12))
         tokens = [words[int(rng.integers(0, len(words)))] for _ in range(count)]
-    return ModelSample(image=image, tokens=tokens, label=int(rng.integers(0, 2)), id="probe")
+    return ModelSample(image=image, tokens=tokens, label=int(rng.integers(0, 2)))
 
 
 def run_model_check(seed: int = 0, eps: float = 1e-3, tol: float = 1e-4,

@@ -1,7 +1,9 @@
 """Command-line surface: wiring, determinism, config merging, exit codes."""
 
 import argparse
+import errno
 import json
+import os
 import struct
 import zlib
 
@@ -100,6 +102,20 @@ class TestTrainEvalPredict:
         assert len(fields) == 4
         for f in fields:
             assert 0.0 <= float(f) <= 1.0
+
+    def test_failed_checkpoint_write_names_the_file(self, dataset, tmp_path, capsys,
+                                                   monkeypatch):
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        out = tmp_path / "run"
+        code, _, stderr = run(capsys, "train", "--manifest", str(dataset / "manifest.jsonl"),
+                              "--out", str(out), "--epochs", "1", "--batch-size", "6")
+        assert code == 1
+        assert stderr.splitlines()[-1] == \
+            f"error: {out / 'checkpoint-best.dfsn'}: No space left on device"
+        assert not list(out.glob("*.dfsn*"))
 
     # rows of the last evaluated epoch only: train, then test with a test split
     @pytest.mark.parametrize("holdout,eval_every,splits", [("0", "1", ["train"]),
@@ -226,9 +242,9 @@ class TestMalformedInputsExitNonzero:
         (("image", "layers", 0, "out_channels"), -3),
         (("image", "input_side"), "16"),
         (("hidden1",), 2.5),
-        (("modality",), "audio"),
+        (("dtype",), "float16"),
     ], ids=["kernel-0", "stride-0", "out_channels-neg3", "input_side-str", "hidden1-float",
-            "modality-audio"])
+            "dtype-float16"])
     def test_bad_config_value(self, path, value, zero_checkpoint, dataset, tmp_path, capsys):
         blob = zero_checkpoint.read_bytes()
         (config_len,) = struct.unpack_from("<I", blob, 7)
@@ -250,21 +266,29 @@ class TestMalformedInputsExitNonzero:
         assert "bad config block" in stderr
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
-    def test_overrunning_tensor_table(self, command, zero_checkpoint, dataset, tmp_path,
-                                      capsys):
-        # valid CRC, but the tensor count promises one record more than the file holds
-        body = bytearray(zero_checkpoint.read_bytes()[:-4])
-        count_pos = 7 + 4 + struct.unpack_from("<I", body, 7)[0]
-        (count,) = struct.unpack_from("<I", body, count_pos)
-        body[count_pos:count_pos + 4] = struct.pack("<I", count + 1)
-        bad = tmp_path / "overrun.dfsn"
-        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+    def test_short_payload(self, command, zero_checkpoint, dataset, tmp_path, capsys):
+        # valid CRC, but the payload holds one float32 less than the config's tensors
+        body = zero_checkpoint.read_bytes()[:-8]
+        bad = tmp_path / "short.dfsn"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         args = ["--manifest", str(dataset / "manifest.jsonl")]
         if command == "predict":
             args = ["--image", str(dataset / "images" / "a00000.ppm"), "--text", "hi"]
         code, _, stderr = run(capsys, command, "--checkpoint", str(bad), *args)
         assert code == 1
-        assert stderr.startswith("error:")
+        assert stderr.startswith(f"error: {bad}: the config's tensors need")
+
+    def test_version_1_checkpoint(self, zero_checkpoint, dataset, tmp_path, capsys):
+        # both formats open with the magic and the version: the loader stops there
+        body = bytearray(zero_checkpoint.read_bytes()[:-4])
+        body[5:7] = struct.pack("<H", 1)
+        old = tmp_path / "old.dfsn"
+        old.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        code, stdout, stderr = run(capsys, "predict", "--checkpoint", str(old),
+                                   "--image", str(dataset / "images" / "a00000.ppm"),
+                                   "--text", "hi")
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {old}: version 1 unsupported (expected 2)\n"
 
 
     # outside [0, 1) no split is meant: 1.5 would give a 50/50 split, -0.5 no held-out set
@@ -393,8 +417,8 @@ class TestMalformedInputsExitNonzero:
 
     def test_non_finite_checkpoint_payload(self, zero_checkpoint, dataset, tmp_path, capsys):
         body = bytearray(zero_checkpoint.read_bytes()[:-4])
-        name = b"fc1.weight"
-        first = body.index(name) + len(name) + 1 + 2 * 4
+        # tiny's fc3 weight (8, 2) and bias (2,) are the payload's last 18 float32 values
+        first = len(body) - 4 * 18
         body[first:first + 4] = struct.pack("<f", np.nan)
         bad = tmp_path / "nan.dfsn"
         bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
@@ -403,7 +427,7 @@ class TestMalformedInputsExitNonzero:
                                    "--text", "hi")
         assert code == 1
         assert stdout == ""
-        assert "fc1.weight" in stderr
+        assert "'fc3.weight' holds non-finite" in stderr
 
 
 class TestReport:
@@ -545,19 +569,19 @@ class TestGradcheckCommand:
 ACCEPTED = {
     "gen-data": {"--config", "--seed", "--out", "--n", "--mix"},
     "train": {"--config", "--seed", "--preset", "--modality", "--embeddings", "--manifest",
-              "--eval-manifest", "--out", "--batch-size", "--lr", "--decay-base",
-              "--decay-every", "--epochs", "--eval-every", "--holdout"},
+              "--eval-manifest", "--out", "--batch-size", "--lr", "--decay-every", "--epochs",
+              "--eval-every", "--holdout"},
     "eval": {"--config", "--seed", "--embeddings", "--manifest", "--checkpoint"},
     "predict": {"--config", "--seed", "--embeddings", "--checkpoint", "--image", "--text"},
     "gradcheck": {"--config", "--seed"},
     "report": {"--history", "--out"},
 }
 
-# flags every command used to accept without reading them
+# flags commands used to accept: all but --decay-base without reading them
 REMOVED = [
     ("gen-data", "--preset"), ("gen-data", "--embeddings"), ("gen-data", "--manifest"),
     ("gen-data", "--checkpoint"),
-    ("train", "--checkpoint"),
+    ("train", "--checkpoint"), ("train", "--decay-base"),
     ("eval", "--preset"), ("eval", "--out"),
     ("predict", "--preset"), ("predict", "--manifest"), ("predict", "--out"),
     ("gradcheck", "--preset"), ("gradcheck", "--embeddings"), ("gradcheck", "--manifest"),
@@ -574,7 +598,7 @@ class TestFlagSurface:
         flags = {name: {opt for action in p._actions for opt in action.option_strings}
                  - {"-h", "--help"} for name, p in sub.choices.items()}
         assert flags == ACCEPTED
-        assert sum(map(len, flags.values())) == 35
+        assert sum(map(len, flags.values())) == 34
 
     @pytest.mark.parametrize("command,flag", REMOVED,
                              ids=[f"{c}{f}" for c, f in REMOVED])

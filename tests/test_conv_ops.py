@@ -511,8 +511,8 @@ class TestDtypeRule:
         cfg = image_preset("full")
         p32 = init_image_params(cfg, np.random.default_rng(0), np.float32)
         p64 = LayerParams(cfg, "image.conv",
-                          {i: Tensor(k.values, dtype=np.float64) for i, k in p32.weights.items()},
-                          {i: Tensor(b.values, dtype=np.float64) for i, b in p32.biases.items()})
+                          {i: Tensor(k.values.astype(np.float64)) for i, k in p32.weights.items()},
+                          {i: Tensor(b.values.astype(np.float64)) for i, b in p32.biases.items()})
         img = np.random.default_rng(1).uniform(-0.5, 0.5, (1, 3, 224, 224)).astype(np.float32)
         narrow = encode_image(img, p32).values
         wide = encode_image(img.astype(np.float64), p64).values

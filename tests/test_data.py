@@ -1,7 +1,10 @@
 """File formats and dataset machinery: manifests, word vectors, PPM,
 checkpoints, filtering, splitting, and the synthetic generator."""
 
+import dataclasses
+import errno
 import json
+import os
 import struct
 import tracemalloc
 import zlib
@@ -16,7 +19,7 @@ from dfsn.data import (CheckpointFormatError, EmbeddingFormatError, Manifest,
                        load_manifest, load_ppm, materialize, save_checkpoint,
                        save_manifest, save_ppm, split_train_test)
 from dfsn.image import preprocess_image
-from dfsn.model import config_to_dict, fusion_preset, init_model
+from dfsn.model import MODALITIES, config_to_dict, empty_model, fusion_preset, init_model
 from dfsn.text import EmbeddingTable, tokenize
 
 
@@ -272,19 +275,47 @@ def with_config(blob, config) -> bytes:
     return with_crc(blob[:7] + struct.pack("<I", len(block)) + block + blob[11 + config_len:-4])
 
 
+def payload_offset(blob, params, name) -> int:
+    """Byte offset of tensor ``name``'s first value in checkpoint ``blob``."""
+    tensors = params.named_tensors()
+    before = sum(t.numel for t in list(tensors.values())[:list(tensors).index(name)])
+    return 11 + struct.unpack_from("<I", blob, 7)[0] + 4 * before
+
+
 def whole_blob_checkpoint(params) -> bytes:
-    """A checkpoint laid out in one buffer with ``struct``, apart from the
-    package's writer: magic, version, config block, tensor count, then each
-    tensor's name, rank, extents and float32 payload, then the CRC."""
+    """A format-2 checkpoint laid out in one buffer with ``struct``, apart
+    from the package's writer: magic, version, config block, every tensor's
+    float32 payload in ``named_tensors()`` order, then the CRC."""
     config = json.dumps(config_to_dict(params.config), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
+    body = b"DFSN1" + struct.pack("<HI", 2, len(config)) + config
+    for tensor in params.tensors():
+        body += struct.pack(f"<{tensor.numel}f", *tensor.values.reshape(-1).tolist())
+    return with_crc(body)
+
+
+def version_1_checkpoint(params) -> bytes:
+    """The same model in format 1: the config block also held ``modality``, and
+    a tensor count, then each tensor's name, rank and extents, led its payload."""
+    config = json.dumps({**config_to_dict(params.config), "modality": params.config.modality},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
     tensors = params.named_tensors()
     body = b"DFSN1" + struct.pack("<HI", 1, len(config)) + config + struct.pack("<I", len(tensors))
     for name, tensor in tensors.items():
-        body += struct.pack("<H", len(name)) + name.encode("utf-8")
-        body += struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape)
+        body += struct.pack(f"<H{len(name)}sB{tensor.ndim}I", len(name), name.encode("utf-8"),
+                            tensor.ndim, *tensor.shape)
         body += struct.pack(f"<{tensor.numel}f", *tensor.values.reshape(-1).tolist())
     return with_crc(body)
+
+
+def peak_traced_bytes(fn) -> int:
+    """The peak of Python and numpy allocations while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCheckpoint:
@@ -300,6 +331,22 @@ class TestCheckpoint:
             other = loaded.named_tensors()[name]
             assert tensor.values.dtype == other.values.dtype
             assert np.array_equal(tensor.values, other.values), name
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_roundtrip_per_modality_and_dtype(self, tmp_path, modality, dtype):
+        params = init_model(fusion_preset("tiny", modality=modality, dtype=dtype), seed=21)
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert loaded.config == params.config
+        assert list(loaded.named_tensors()) == list(params.named_tensors())
+        for name, tensor in params.named_tensors().items():
+            other = loaded.named_tensors()[name].values
+            # float64 values are stored at float32 precision
+            expected = tensor.values.astype(np.float32).astype(tensor.values.dtype)
+            assert other.dtype == tensor.values.dtype
+            assert other.tobytes() == expected.tobytes(), name
 
     def test_flipped_payload_byte_fails_checksum(self, tmp_path):
         params = self.make_params(seed=8)
@@ -320,44 +367,29 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="magic"):
             load_checkpoint(path)
 
-    def test_config_echo_detects_preset_mismatch(self, tmp_path):
-        # a checkpoint whose tensor table disagrees with its config echo
-        params = self.make_params(seed=9)
+    def test_version_1_refused(self, tmp_path):
         path = tmp_path / "model.dfsn"
-        save_checkpoint(params, path)
-        import json as json_mod
-        import struct
-        import zlib
+        path.write_bytes(version_1_checkpoint(self.make_params(seed=22)))
+        with pytest.raises(CheckpointFormatError, match=r"version 1 unsupported \(expected 2\)"):
+            load_checkpoint(path)
 
+    def test_config_echo_detects_preset_mismatch(self, tmp_path):
+        # the config block claims a wider first layer than the payload holds
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=9), path)
         blob = path.read_bytes()
-        (config_len,) = struct.unpack_from("<I", blob, 7)
-        config = json_mod.loads(blob[11:11 + config_len].decode())
+        config = config_block(blob)
         config["image"]["layers"][0]["out_channels"] = 99
-        new_config = json_mod.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-        body = blob[:7] + struct.pack("<I", len(new_config)) + new_config + blob[11 + config_len:-4]
-        body += struct.pack("<I", zlib.crc32(body))
-        path.write_bytes(body)
-        with pytest.raises(CheckpointFormatError, match="shape"):
+        path.write_bytes(with_config(blob, config))
+        with pytest.raises(CheckpointFormatError, match="the config's tensors need"):
             load_checkpoint(path)
 
     def test_missing_tensor(self, tmp_path):
-        import struct
-        import zlib
-
-        params = self.make_params(seed=10)
+        # drop the final tensor's payload (fc3.bias: 2 float32 values)
         path = tmp_path / "model.dfsn"
-        save_checkpoint(params, path)
-        blob = path.read_bytes()
-        # drop the final tensor record (fc3.bias: name header + 2 f32 values)
-        name = b"fc3.bias"
-        record_len = 2 + len(name) + 1 + 4 + 2 * 4
-        count_pos = 7 + 4 + struct.unpack_from("<I", blob, 7)[0]
-        (count,) = struct.unpack_from("<I", blob, count_pos)
-        body = bytearray(blob[:-4 - record_len])
-        body[count_pos:count_pos + 4] = struct.pack("<I", count - 1)
-        body += struct.pack("<I", zlib.crc32(bytes(body)))
-        path.write_bytes(bytes(body))
-        with pytest.raises(CheckpointFormatError, match="missing"):
+        save_checkpoint(self.make_params(seed=10), path)
+        path.write_bytes(with_crc(path.read_bytes()[:-4 - 2 * 4]))
+        with pytest.raises(CheckpointFormatError, match="the file holds"):
             load_checkpoint(path)
 
     def test_config_survives_roundtrip(self, tmp_path):
@@ -370,57 +402,38 @@ class TestCheckpoint:
     @pytest.mark.parametrize("modality,unused", [("text", "image"), ("image", "text")])
     def test_single_branch_config_block_holds_only_its_branch(self, tmp_path, modality,
                                                               unused):
-        path = tmp_path / "model.dfsn"
-        save_checkpoint(init_model(fusion_preset("tiny", modality=modality), seed=4), path)
-        config = config_block(path.read_bytes())
-        assert unused not in config
-        assert config["modality"] == modality
-
-    def test_text_checkpoint_with_unused_image_block_loads(self, tmp_path):
-        # older writers echoed the preset's image block into text-only checkpoints
-        params = init_model(fusion_preset("tiny", modality="text"), seed=5)
+        params = init_model(fusion_preset("tiny", modality=modality), seed=4)
         path = tmp_path / "model.dfsn"
         save_checkpoint(params, path)
-        blob = path.read_bytes()
-        config = config_block(blob)
-        config["image"] = config_to_dict(fusion_preset("tiny"))["image"]
-        path.write_bytes(with_config(blob, config))
-        loaded = load_checkpoint(path)
-        assert loaded.config.image is None
-        assert loaded.config == params.config
-        assert loaded.image_params is None
-        for name, tensor in params.named_tensors().items():
-            assert np.array_equal(loaded.named_tensors()[name].values, tensor.values), name
+        config = config_block(path.read_bytes())
+        assert unused not in config
+        assert set(config) == {modality, "hidden1", "hidden2", "dtype"}
 
-    def test_unknown_stored_modality(self, tmp_path):
-        path = tmp_path / "model.dfsn"
-        save_checkpoint(self.make_params(seed=16), path)
-        blob = path.read_bytes()
-        config = config_block(blob)
-        config["modality"] = "audio"
-        path.write_bytes(with_config(blob, config))
-        with pytest.raises(CheckpointFormatError, match="audio"):
-            load_checkpoint(path)
-
-    def test_tensor_count_one_too_high(self, tmp_path):
+    def test_config_without_a_branch_block(self, tmp_path):
         path = tmp_path / "model.dfsn"
         save_checkpoint(self.make_params(seed=12), path)
-        body = bytearray(path.read_bytes()[:-4])
-        count_pos = 7 + 4 + struct.unpack_from("<I", body, 7)[0]
-        (count,) = struct.unpack_from("<I", body, count_pos)
-        body[count_pos:count_pos + 4] = struct.pack("<I", count + 1)
-        path.write_bytes(with_crc(body))
-        with pytest.raises(CheckpointFormatError, match="overruns"):
+        blob = path.read_bytes()
+        config = config_block(blob)
+        del config["image"], config["text"]
+        path.write_bytes(with_config(blob, config))
+        with pytest.raises(CheckpointFormatError, match="bad config block"):
             load_checkpoint(path)
 
-    def test_truncated_after_tensor_name(self, tmp_path):
+    # a config whose fc1 is (50, 20000) implies 4 MB of payload: a loader that
+    # allocated the model before checking the payload's size would double the file
+    @pytest.mark.parametrize("extra", [b"", b"\0" * 8], ids=["short", "long"])
+    def test_payload_off_by_four_bytes_refused_before_allocating(self, tmp_path, extra):
+        config = dataclasses.replace(fusion_preset("tiny"), hidden1=20000)
         path = tmp_path / "model.dfsn"
-        save_checkpoint(self.make_params(seed=13), path)
-        blob = path.read_bytes()
-        name = b"image.conv2.weight"
-        path.write_bytes(with_crc(blob[:blob.index(name) + len(name)]))
-        with pytest.raises(CheckpointFormatError, match="overruns"):
-            load_checkpoint(path)
+        save_checkpoint(empty_model(config), path)
+        body = path.read_bytes()[:-4]
+        path.write_bytes(with_crc(body[:-4] + extra))
+
+        def load():
+            with pytest.raises(CheckpointFormatError, match="the config's tensors need"):
+                load_checkpoint(path)
+
+        assert peak_traced_bytes(load) < path.stat().st_size + 2 ** 20
 
     def test_config_block_not_an_object(self, tmp_path):
         path = tmp_path / "model.dfsn"
@@ -444,20 +457,17 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_non_finite_payload_names_tensor(self, tmp_path):
+        params = self.make_params(seed=16)
         path = tmp_path / "model.dfsn"
-        save_checkpoint(self.make_params(seed=16), path)
+        save_checkpoint(params, path)
         body = bytearray(path.read_bytes()[:-4])
-        name = b"fc1.weight"
-        # payload starts after the name, the rank byte and two u32 extents
-        first = body.index(name) + len(name) + 1 + 2 * 4
+        first = payload_offset(body, params, "fc1.weight")
         body[first:first + 4] = struct.pack("<f", np.nan)
         path.write_bytes(with_crc(body))
         with pytest.raises(CheckpointFormatError, match="'fc1.weight' holds non-finite"):
             load_checkpoint(path)
 
     def test_write_is_synced_before_rename(self, tmp_path, monkeypatch):
-        import os
-
         events = []
         real_fsync, real_replace = os.fsync, os.replace
 
@@ -476,6 +486,22 @@ class TestCheckpoint:
         size = path.stat().st_size
         # the whole payload reaches the file before it is synced, then renamed
         assert events == [("fsync", size), ("replace", size)]
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path,
+                                                                     monkeypatch):
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=23), path)
+        old = path.read_bytes()
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(OSError) as info:
+            save_checkpoint(self.make_params(seed=24), path)
+        assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(path))
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.dfsn"]
 
     def test_load_makes_no_random_draws(self, tmp_path, monkeypatch):
         params = self.make_params(seed=14)
@@ -520,14 +546,12 @@ class TestCheckpoint:
         block = json.dumps(config).encode("utf-8")
         path.write_bytes(with_crc(blob[:7] + struct.pack("<I", len(block)) + block
                                   + blob[11 + config_len:-4]))
-        tracemalloc.start()
-        try:
+
+        def load():
             with pytest.raises(CheckpointFormatError):
                 load_checkpoint(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+
+        assert peak_traced_bytes(load) < 2 ** 20
 
 
 def config_paths(node, path=()):

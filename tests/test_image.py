@@ -142,7 +142,6 @@ def _micro_config():
             ConvLayerSpec(3, 3, stride=1, pad=1, pool_window=2, pool_stride=2),
         ),
         input_side=8,
-        preset="micro",
     )
 
 

@@ -114,14 +114,15 @@ def test_ppm(files, data):
 
 
 # without a recomputed CRC nearly every edit must end at the checksum; with it
-# the edit reaches the config block, the tensor table and the payloads
+# the edit reaches the config block, the payload size check and the payload
 @pytest.mark.parametrize("recompute_crc", [False, True], ids=["stale-crc", "fresh-crc"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_checkpoint(files, recompute_crc, data):
     blob = (files / "tiny.dfsn").read_bytes()
     body = blob[:-4] if recompute_crc else blob
-    header = 11 + int.from_bytes(blob[7:11], "little") + 64  # config block and first record
+    # the config block and the payload's first 64 bytes
+    header = 11 + int.from_bytes(blob[7:11], "little") + 64
     mutated = mutate(body, data.draw(mutations(len(body), header)))
     if recompute_crc:
         mutated += struct.pack("<I", zlib.crc32(mutated))

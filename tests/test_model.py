@@ -25,7 +25,6 @@ def micro_config(modality="fused", dtype="float64"):
             ConvLayerSpec(3, 3, stride=1, pad=1, pool_window=2, pool_stride=2),
         ),
         input_side=8,
-        preset="micro",
     )
     text = TextConfig(dim=6, max_len=12, widths=(2, 3), filters_per_width=1)
     return FusionConfig(image=image if modality != "text" else None,
@@ -37,7 +36,7 @@ def micro_sample(seed=0, label=1):
     rng = np.random.default_rng(seed)
     image = rng.uniform(-0.5, 0.5, (3, 8, 8))
     tokens = ["red", "green", "blue", "cyan", "magenta"][: int(rng.integers(3, 6))]
-    return ModelSample(image=image, tokens=tokens, label=label, id=f"s{seed}")
+    return ModelSample(image=image, tokens=tokens, label=label)
 
 
 class TestInitAndEmptyModel:

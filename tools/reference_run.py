@@ -14,7 +14,8 @@ and prints the sha256 of ``history.csv``, ``checkpoint-final.dfsn`` and
 one line with the numpy version, the BLAS name and version and the BLAS thread
 count. Equal seeds give byte-identical artifacts, so a change that leaves the
 arithmetic alone leaves all three digests as they were; one that changes it
-moves them. The checkpoint digests hold for one BLAS configuration only: the
+moves them, and so does a change to the checkpoint format, to the two
+checkpoint digests. The checkpoint digests hold for one BLAS configuration only: the
 BLAS kernel and thread count set how a matrix product sums, so another CPU or
 thread count may print others. The checkout's own ``src/`` is imported, not an
 installed copy.
