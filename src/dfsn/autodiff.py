@@ -6,8 +6,8 @@ init rule of every layer's weight and bias. Arrays are numpy-backed,
 and each op computes in ``np.result_type`` of its operands: a float32 model runs
 float32 arithmetic, a float64 one (what the finite-difference checks use)
 float64. Matrix products cast both operands to that type first, since numpy
-runs a mixed-dtype product without BLAS. Sums, means and the softmax loss
-accumulate in float64.
+runs a mixed-dtype product without BLAS. The softmax loss accumulates in
+float64. A ``Tensor`` has no arithmetic operators: every op is a function here.
 """
 
 from __future__ import annotations
@@ -109,31 +109,10 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    # -- composition helpers -------------------------------------------------
-
-    def sum(self) -> "Tensor":
-        return _sum(self)
-
-    def mean(self) -> "Tensor":
-        return _mean(self)
-
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return _reshape(self, shape)
-
-    def __add__(self, other):
-        return _add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _sub(self, other)
-
-    def __mul__(self, other):
-        return _mul(self, other)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}, dtype={self.values.dtype}"
@@ -264,59 +243,7 @@ def init_layers(config, prefix: str, layers, rng: Optional[np.random.Generator],
 # -- elementwise and structural ops -----------------------------------------
 
 
-def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
-    """Both operands as tensors; equal shapes, or a scalar on either side."""
-    a, b = (x if isinstance(x, Tensor) else Tensor(x) for x in (a, b))
-    if a.shape != () and b.shape != () and a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-    return a, b
-
-
-def _add(a, b) -> Tensor:
-    a, b = _operands(a, b, "add")
-    vals = a.values + b.values
-
-    def back(g):
-        return (_unreduce(g, a.shape), _unreduce(g, b.shape))
-
-    return _make_node(vals, "add", (a, b), back)
-
-
-def _sub(a, b) -> Tensor:
-    a, b = _operands(a, b, "sub")
-    vals = a.values - b.values
-
-    def back(g):
-        return (_unreduce(g, a.shape), _unreduce(-g, b.shape))
-
-    return _make_node(vals, "sub", (a, b), back)
-
-
-def _mul(a, b) -> Tensor:
-    a, b = _operands(a, b, "mul")
-    av, bv = a.values, b.values
-    vals = av * bv
-
-    def back(g):
-        return (_unreduce(g * bv, a.shape), _unreduce(g * av, b.shape))
-
-    return _make_node(vals, "mul", (a, b), back)
-
-
-def _unreduce(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # _operands admits equal shapes or a scalar, so a scalar's full sum suffices
-    return g if g.shape == shape else np.sum(g).reshape(shape)
-
-
-def _sum(t: Tensor) -> Tensor:
-    vals = np.asarray(t.values.astype(np.float64, copy=False).sum())
-
-    def back(g):
-        return (np.full(t.shape, float(g), dtype=np.float64),)
-
-    return _make_node(vals, "sum", (t,), back)
-
-
+# no model path calls this; perfbench/tracer.py rebinds it by name (goes with ROADMAP item 2)
 def _mean(t: Tensor) -> Tensor:
     n = t.values.size
     if n == 0:

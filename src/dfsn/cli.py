@@ -95,18 +95,15 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 
 
 def _load_table(config: FusionConfig, path, seed: int) -> Optional[EmbeddingTable]:
-    """The word vectors a model's text branch reads, every value finite in the
-    model's dtype; None without a text branch."""
+    """The word vectors a model's text branch reads, of the model's dimension
+    and every value finite in its dtype; None without a text branch."""
     if config.text is None:
         return None
     dim = config.text.dim
     if path is None:
         # no vector file: every word uses the deterministic seeded fallback
         return EmbeddingTable(dim=dim, fallback_seed=seed)
-    table = dio.load_embeddings(path, fallback_seed=seed, dtype=config.np_dtype)
-    if table.dim != dim:
-        raise CliError(f"{path}: embedding dimension {table.dim} != model dimension {dim}")
-    return table
+    return dio.load_embeddings(path, dim, fallback_seed=seed, dtype=config.np_dtype)
 
 
 def _load_filtered(path) -> dio.Manifest:

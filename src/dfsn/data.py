@@ -140,21 +140,25 @@ def split_train_test(manifest: Manifest, seed: int,
 # -- word vectors --------------------------------------------------------------
 
 
-def load_embeddings(path, fallback_seed: int = 0, dtype=np.float64) -> EmbeddingTable:
+def load_embeddings(path, dim: int, fallback_seed: int = 0, dtype=np.float64) -> EmbeddingTable:
     """Parse the textual vector format: header "count dim", then
-    "word v1 ... v_dim" per line. Every value must be finite in ``dtype``,
-    the dtype of the model that reads the vectors."""
+    "word v1 ... v_dim" per line. The header's dim must be ``dim`` and every
+    value finite in ``dtype``: the dimension and dtype of the model that reads
+    the vectors. The dim is checked before any row is read."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = utf8_lines(fh, path, EmbeddingFormatError)
         parts = next(lines, "").split()
         if len(parts) != 2:
             raise EmbeddingFormatError(f"{path}: line 1: header must be 'count dim'")
         try:
-            count, dim = int(parts[0]), int(parts[1])
+            count, file_dim = int(parts[0]), int(parts[1])
         except ValueError:
             raise EmbeddingFormatError(f"{path}: line 1: header must be two integers") from None
-        if count < 0 or dim < 1:
-            raise EmbeddingFormatError(f"{path}: line 1: bad header values {count} {dim}")
+        if count < 0 or file_dim < 1:
+            raise EmbeddingFormatError(f"{path}: line 1: bad header values {count} {file_dim}")
+        if file_dim != dim:
+            raise EmbeddingFormatError(
+                f"{path}: embedding dimension {file_dim} != model dimension {dim}")
         vectors: dict[str, np.ndarray] = {}
         rows = 0
         for lineno, line in enumerate(lines, start=2):

@@ -3,8 +3,9 @@
 Random probe tensors are drawn in [-1, 1] but kept away from the
 non-smooth points of each operation (ReLU kinks, pooling ties), since
 finite differences are meaningless exactly there. Each operation's output
-is contracted to a scalar through a fixed random projection so that every
-output element influences the probe loss with a distinct weight.
+is contracted to a scalar through a fixed random projection, one ``matmul``
+of the flattened output with a column of weights, so that every output
+element influences the probe loss with a distinct weight.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def _op_trial_factories(rng: np.random.Generator):
                 return out
             # drawn once per trial so repeated probe evaluations see one function
             if out.shape not in proj_cache:
-                proj_cache[out.shape] = Tensor(_projection(rng, out.shape))
-            return (out * proj_cache[out.shape]).sum()
+                proj_cache[out.shape] = Tensor(_projection(rng, out.shape).reshape(-1, 1))
+            return matmul(out.reshape(1, -1), proj_cache[out.shape]).reshape(())
 
         return build
 
@@ -145,16 +146,6 @@ def _op_trial_factories(rng: np.random.Generator):
         t = Tensor(rng.uniform(-1, 1, (4,)), requires_grad=True)
         return (lambda t_: softmax_cross_entropy(t_, label)), [t]
 
-    def arithmetic_trial():
-        a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-        b = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-
-        def fn(a_, b_):
-            mixed = (a_ * b_ + a_ - 0.5 * b_).reshape(12)
-            return mixed.sum() + (a_ * a_).mean()
-
-        return fn, [a, b]
-
     return [
         ("relu", relu_trial),
         ("tanh", tanh_trial),
@@ -166,7 +157,6 @@ def _op_trial_factories(rng: np.random.Generator):
         ("concat", concat_trial),
         ("triple_pool", triple_pool_trial),
         ("softmax_cross_entropy", softmax_ce_trial),
-        ("add_sub_mul_sum_mean_reshape", arithmetic_trial),
         # last, so the trials above keep the draws they had before it
         ("window_filter", window_filter_trial),
     ]

@@ -2,12 +2,25 @@
 
 Deliberately naive: explicit nested loops, no im2col, no vectorized window
 tricks, no code shared with the package. These are the second route of every
-dual-route check.
+dual-route check. ``project`` is the one exception: it builds a test's scalar
+loss with the package's ``matmul``, as ``dfsn.verify`` does.
 """
 
 import math
 
 import numpy as np
+
+from dfsn.autodiff import Tensor, matmul
+
+
+def project(out, weights=None):
+    """The scalar sum(out * weights) as a Tensor: one ``matmul`` of the
+    flattened ``out`` with a column of ``weights``. Constant weights are
+    array-like (all ones when None); a Tensor of ``out``'s size gets a
+    gradient too."""
+    if not isinstance(weights, Tensor):
+        weights = Tensor(np.ones(out.shape) if weights is None else np.asarray(weights, np.float64))
+    return matmul(out.reshape(1, -1), weights.reshape(-1, 1)).reshape(())
 
 
 def conv2d_loops(x, kernels, bias, stride=1, pad=0):

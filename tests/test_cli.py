@@ -172,7 +172,8 @@ class TestMalformedInputsExitNonzero:
         img = tmp_path / "img.ppm"
         save_ppm(img, np.zeros((4, 4, 3), dtype=np.uint8))
         bad = tmp_path / "bad.vec"
-        bad.write_text("2 3\nword 1 2\n")
+        # the tiny model's dimension, so the short row is what fails
+        bad.write_text("2 200\nword 1 2\n")
         code, _, stderr = run(capsys, "predict", "--checkpoint", str(zero_checkpoint),
                               "--image", str(img), "--text", "hi there",
                               "--embeddings", str(bad))
@@ -368,6 +369,20 @@ class TestMalformedInputsExitNonzero:
         assert code == 1
         assert stdout == ""
         assert stderr.startswith(f"error: {vectors}: embedding dimension 2 != model dimension")
+
+    def test_huge_embedding_dimension_refused_before_allocating(self, zero_checkpoint, tmp_path,
+                                                                 capsys):
+        # a table of this header's dim would need terabytes
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("0 1000000000000\n")
+        img = tmp_path / "img.ppm"
+        save_ppm(img, np.zeros((4, 4, 3), dtype=np.uint8))
+        code, stdout, stderr = run(capsys, "predict", "--checkpoint", str(zero_checkpoint),
+                                   "--image", str(img), "--text", "hello brave new world",
+                                   "--embeddings", str(vectors))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: {vectors}: embedding dimension 1000000000000 != ")
 
     def test_unknown_modality_in_config_file(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -9,7 +9,7 @@ from dfsn.autodiff import (LayerParams, ShapeError, Tensor, capture_switch_signa
 from dfsn.gradcheck import grad_check
 from dfsn.image import encode_image, image_preset, init_image_params
 
-from oracles import conv2d_loops, lrn_loops, maxpool2d_loops, maxpool2d_picks_loops
+from oracles import conv2d_loops, lrn_loops, maxpool2d_loops, maxpool2d_picks_loops, project
 from test_autodiff import assert_dtype_rule
 
 
@@ -80,7 +80,7 @@ class TestConv2d:
         xt = Tensor(x, requires_grad=True)
         kt = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
         bt = Tensor(np.zeros(1), requires_grad=True)
-        conv2d(xt, kt, bt).sum().backward()
+        project(conv2d(xt, kt, bt)).backward()
         assert np.allclose(kt.grad.reshape(3, 3), x[0])
         assert np.allclose(xt.grad, np.ones((1, 3, 3)))
         assert bt.grad.tolist() == [1.0]
@@ -94,10 +94,10 @@ class TestConv2d:
         kt = Tensor(rng.uniform(-1, 1, (3, 2, k, k)), requires_grad=True)
         bt = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
         ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-        proj = Tensor(rng.uniform(-1, 1, (2, 3, ho, wo)))
+        proj = rng.uniform(-1, 1, (2, 3, ho, wo))
 
         def fn(x_, k_, b_):
-            return (conv2d(x_, k_, b_, stride=s, pad=p) * proj).sum()
+            return project(conv2d(x_, k_, b_, stride=s, pad=p), proj)
 
         report = grad_check(fn, [x, kt, bt], eps=1e-4, tol=1e-6)
         assert report.passed, str(report)
@@ -114,9 +114,9 @@ class TestConv2d:
         expect = np.stack([conv2d_loops(item, kern, b, stride=s, pad=p) for item in x])
         assert out.shape == expect.shape
         assert np.allclose(out.values, expect, atol=1e-12)
-        proj = Tensor(rng.uniform(-1, 1, out.shape))
+        proj = rng.uniform(-1, 1, out.shape)
         params = [Tensor(a, requires_grad=True) for a in (x, kern, b)]
-        report = grad_check(lambda x_, k_, b_: (conv2d(x_, k_, b_, stride=s, pad=p) * proj).sum(),
+        report = grad_check(lambda x_, k_, b_: project(conv2d(x_, k_, b_, stride=s, pad=p), proj),
                             params, eps=1e-4, tol=1e-6)
         assert report.passed, str(report)
 
@@ -178,12 +178,12 @@ class TestMaxPool2d:
 
     def test_tie_routes_gradient_to_first_occurrence(self):
         t = Tensor([[[5.0, 5.0], [5.0, 5.0]]], requires_grad=True)
-        maxpool2d(t, 2, 2).sum().backward()
+        project(maxpool2d(t, 2, 2)).backward()
         assert t.grad.tolist() == [[[1.0, 0.0], [0.0, 0.0]]]
 
     def test_overlapping_gradient_accumulates(self):
         t = Tensor([[[1.0, 2.0, 3.0]] * 3], requires_grad=True)
-        maxpool2d(t, 2, 1).sum().backward()
+        project(maxpool2d(t, 2, 1)).backward()
         # column 2 wins every window along each pooled row
         assert t.grad.sum() == 4.0
         assert np.all(t.grad[:, :, :1] == 0.0)
@@ -200,7 +200,7 @@ class TestMaxPool2d:
         assert np.array_equal(out.values, np.stack([maxpool2d_loops(item, 3, 2) for item in x]))
         assert sink == [picks.astype(np.int32).tobytes()]
         g = rng.uniform(-1, 1, out.shape)
-        (out * Tensor(g)).sum().backward()
+        project(out, g).backward()
         expect = np.zeros_like(x)
         for (n, c, i, j), k in np.ndenumerate(picks):
             expect[n, c, 2 * i + k // 3, 2 * j + k % 3] += g[n, c, i, j]
@@ -215,7 +215,7 @@ class TestMaxPool2d:
                      [0.0, 4.0, 5.0, 6.0, 7.0, 7.0]]], requires_grad=True)
         out = maxpool2d(t, 2, 2)
         assert np.array_equal(out.values, [[[nan, 2.0, nan]]], equal_nan=True)
-        (out * Tensor([[[1.0, 10.0, 100.0]]])).sum().backward()
+        project(out, [[[1.0, 10.0, 100.0]]]).backward()
         assert t.grad.tolist() == [[[0.0, 0.0, 10.0, 0.0, 100.0, 0.0],
                                     [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                                     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]]
@@ -253,8 +253,8 @@ class TestLrn:
 
         rng = np.random.default_rng(8)
         t = Tensor(rng.uniform(-1, 1, (3, 2, 2)), requires_grad=True)
-        proj = Tensor(rng.uniform(0.5, 1.5, (3, 2, 2)))
-        report = grad_check(lambda t_: (lrn(t_) * proj).sum(), [t], eps=1e-4, tol=1e-5)
+        proj = rng.uniform(0.5, 1.5, (3, 2, 2))
+        report = grad_check(lambda t_: project(lrn(t_), proj), [t], eps=1e-4, tol=1e-5)
         assert report.passed, str(report)
 
     def test_gradient_at_high_curvature_constants(self):
@@ -264,9 +264,9 @@ class TestLrn:
         rng = np.random.default_rng(9)
         for _ in range(10):
             t = Tensor(rng.uniform(-1, 1, (3, 2, 2)), requires_grad=True)
-            proj = Tensor(rng.uniform(0.5, 1.5, (3, 2, 2)))
+            proj = rng.uniform(0.5, 1.5, (3, 2, 2))
             report = grad_check(
-                lambda t_: (lrn(t_, depth_radius=0, k=1.0, alpha=1.0, beta=1.0) * proj).sum(),
+                lambda t_: project(lrn(t_, depth_radius=0, k=1.0, alpha=1.0, beta=1.0), proj),
                 [t], eps=1e-4, tol=1e-5)
             assert report.passed, str(report)
 
@@ -288,7 +288,7 @@ class TestTriplePool:
 
     def test_gradient_routing(self):
         t = Tensor([-1.0, 0.0, 4.0], requires_grad=True)
-        (triple_pool(t) * Tensor([1.0, 3.0, 5.0])).sum().backward()
+        project(triple_pool(t), [1.0, 3.0, 5.0]).backward()
         # max -> index 2, mean spreads 3/3 everywhere, min -> index 0
         assert np.allclose(t.grad, [1.0 + 5.0, 1.0, 1.0 + 1.0])
 
@@ -333,11 +333,11 @@ class TestBatchedShapes:
         x = Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)), requires_grad=True)
         k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
-        proj = Tensor(rng.uniform(0.5, 1.5, (2, 3, 2, 2)))
+        proj = rng.uniform(0.5, 1.5, (2, 3, 2, 2))
 
         def fn(x_, k_, b_):
             y = lrn(conv2d(x_, k_, b_, stride=1, pad=1), depth_radius=1, alpha=0.5)
-            return (maxpool2d(y, 3, 2) * proj).sum()
+            return project(maxpool2d(y, 3, 2), proj)
 
         report = grad_check(fn, [x, k, b], eps=1e-4, tol=1e-5)
         assert report.passed, str(report)
@@ -361,12 +361,12 @@ class TestSegmentPool:
         out = triple_pool_columns(t, starts)
         assert out.shape == (len(lengths), 3, 3)
         proj = rng.uniform(0.5, 1.5, out.shape)
-        (out * Tensor(proj)).sum().backward()
+        project(out, proj).backward()
         for s, (first, length) in enumerate(zip(starts, lengths)):
             for col in range(3):
                 seg = Tensor(v[first:first + length, col], requires_grad=True)
                 pooled = triple_pool(seg)
-                (pooled * Tensor(proj[s, col])).sum().backward()
+                project(pooled, proj[s, col]).backward()
                 assert np.array_equal(out.values[s, col], pooled.values)
                 assert np.array_equal(t.grad[first:first + length, col], seg.grad)
 
@@ -374,7 +374,7 @@ class TestSegmentPool:
         t = Tensor([[3.0], [5.0], [5.0], [1.0], [1.0], [2.0], [2.0]], requires_grad=True)
         out = triple_pool_columns(t, (0, 5))
         assert out.values[:, 0].tolist() == [[5.0, 3.0, 1.0], [2.0, 2.0, 2.0]]
-        (out * Tensor(np.array([[[1.0, 0.0, 10.0]], [[100.0, 0.0, 1000.0]]]))).sum().backward()
+        project(out, [[[1.0, 0.0, 10.0]], [[100.0, 0.0, 1000.0]]]).backward()
         assert t.grad[:, 0].tolist() == [0.0, 1.0, 0.0, 10.0, 0.0, 1100.0, 0.0]
 
     def test_rows_between_segments_are_ignored(self):
@@ -384,7 +384,7 @@ class TestSegmentPool:
         for s, rows in enumerate((slice(1, 3), slice(4, 6))):
             want = triple_pool_columns(Tensor(v[rows]))
             assert np.array_equal(out.values[s], want.values[0])
-        out.sum().backward()
+        project(out).backward()
         assert not t.grad[[0, 3, 6]].any()
         assert t.grad[[1, 2, 4, 5]].sum(axis=0).tolist() == [6.0, 6.0]
 
@@ -446,7 +446,7 @@ class TestPoolingPicksOnDemand:
         else:
             out = POOL_OPS[name](t)
         g = np.random.default_rng(22).uniform(-1, 1, out.shape).astype(dtype)
-        (out * Tensor(g)).sum().backward()
+        project(out, g).backward()
         return out.values.tobytes(), t.grad.tobytes(), sink
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -464,7 +464,7 @@ class TestPoolingPicksOnDemand:
         t = Tensor(pool_input("maxpool2d", np.float32), requires_grad=True)
         out = maxpool2d(t, 3, 2)
         assert counting.calls == {"where": 0, "isnan": 0}
-        out.sum().backward()
+        project(out).backward()
         assert counting.calls == {"where": 9, "isnan": 9}
         with capture_switch_signature():
             maxpool2d(t, 3, 2)

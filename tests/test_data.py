@@ -31,36 +31,45 @@ class TestEmbeddingsLoader:
 
     def test_minimal_file(self, tmp_path):
         path = self.write(tmp_path, "2 3\nhello 0.1 0.2 0.3\nworld 1 2 3\n")
-        table = load_embeddings(path)
+        table = load_embeddings(path, 3)
         assert table.dim == 3
         assert table.row_ids(["hello", "world"]) == [1, 2]
         assert table.matrix.tolist() == [[0.0] * 3, [0.1, 0.2, 0.3], [1.0, 2.0, 3.0]]
 
     def test_parse_fidelity(self, tmp_path):
         path = self.write(tmp_path, "1 4\nword 0.25 -1.5 3e-2 7\n")
-        table = load_embeddings(path)
+        table = load_embeddings(path, 4)
         row = table.row_ids(["word"])[0]
         assert table.matrix[row].tolist() == [0.25, -1.5, 0.03, 7.0]
 
     def test_short_line_names_line_number(self, tmp_path):
         path = self.write(tmp_path, "2 3\nok 1 2 3\nbad 1 2\n")
         with pytest.raises(EmbeddingFormatError, match="line 3"):
-            load_embeddings(path)
+            load_embeddings(path, 3)
 
     def test_non_numeric_value(self, tmp_path):
         path = self.write(tmp_path, "1 2\nword 1.0 oops\n")
         with pytest.raises(EmbeddingFormatError, match="line 2"):
-            load_embeddings(path)
+            load_embeddings(path, 2)
 
     def test_bad_header(self, tmp_path):
         path = self.write(tmp_path, "3\nword 1 2 3\n")
         with pytest.raises(EmbeddingFormatError, match="line 1"):
-            load_embeddings(path)
+            load_embeddings(path, 3)
+
+    # a malformed row after the header shows that no row was read
+    @pytest.mark.parametrize("header", ["1 2", "0 1000000000000"])
+    def test_dim_unlike_the_model_refused_before_any_row(self, header, tmp_path):
+        path = self.write(tmp_path, f"{header}\nword 1 oops\n")
+        with pytest.raises(EmbeddingFormatError,
+                           match=f"vectors.txt: embedding dimension {header.split()[1]} "
+                                 f"!= model dimension 3$"):
+            load_embeddings(path, 3)
 
     def test_count_mismatch(self, tmp_path):
         path = self.write(tmp_path, "3 2\na 1 2\nb 3 4\n")
         with pytest.raises(EmbeddingFormatError, match="promises 3"):
-            load_embeddings(path)
+            load_embeddings(path, 2)
 
     # -1e300 is finite in float64 but not in float32
     @pytest.mark.parametrize("value,dtype", [("nan", np.float64), ("-inf", np.float64),
@@ -69,18 +78,18 @@ class TestEmbeddingsLoader:
         path = self.write(tmp_path, f"2 2\na 1 2\nbig {value} 0\n")
         with pytest.raises(EmbeddingFormatError,
                            match=f"line 3: a value of 'big' is not a finite {np.dtype(dtype)}$"):
-            load_embeddings(path, dtype=dtype)
-        assert load_embeddings(self.write(tmp_path, "1 2\nbig -1e300 0\n")).dim == 2
+            load_embeddings(path, 2, dtype=dtype)
+        assert load_embeddings(self.write(tmp_path, "1 2\nbig -1e300 0\n"), 2).dim == 2
 
     def test_non_utf8_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_bytes(b"1 2\n\xff\xfe 1 2\n")
         with pytest.raises(EmbeddingFormatError, match="vectors.txt: not UTF-8"):
-            load_embeddings(path)
+            load_embeddings(path, 2)
 
     def test_oov_fallback_attached(self, tmp_path):
         path = self.write(tmp_path, "1 2\nknown 1 2\n")
-        table = load_embeddings(path, fallback_seed=3)
+        table = load_embeddings(path, 2, fallback_seed=3)
         row = table.row_ids(["unknown"])[0]
         vec = table.matrix[row]
         assert vec.shape == (2,)

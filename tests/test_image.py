@@ -9,7 +9,7 @@ from dfsn.image import (ConvLayerSpec, ConvStackConfig, bilinear_resize,
                         encode_image, image_preset, init_image_params,
                         preprocess_image)
 
-from oracles import bilinear_resize_four_corner, bilinear_resize_loops
+from oracles import bilinear_resize_four_corner, bilinear_resize_loops, project
 
 # frozen by hand from the half-pixel-center formula: src = (dst+0.5)/2 - 0.5,
 # per-axis fractions (0, .25, .75, 0 at clamped index 1) over [[1,0],[0,1]]
@@ -194,10 +194,10 @@ class TestEncodeImage:
         rng = np.random.default_rng(5)
         params = init_image_params(cfg, rng, dtype=np.float64)
         img = rng.uniform(-0.5, 0.5, (3, 8, 8))
-        proj = Tensor(rng.uniform(0.5, 1.5, cfg.feature_size))
+        proj = rng.uniform(0.5, 1.5, cfg.feature_size)
 
         def fn(*_):
-            return (encode_image(img, params) * proj).sum()
+            return project(encode_image(img, params), proj)
 
         report = grad_check(fn, [params.weights[1], params.biases[1]],
                             eps=1e-3, tol=1e-4)

@@ -11,6 +11,7 @@ an image path one of its lines points to).
 
 import contextlib
 import io
+import json
 import struct
 import zlib
 
@@ -101,8 +102,8 @@ def test_manifest(files, data):
 def test_embeddings(files, data):
     blob = (files / "vectors.txt").read_bytes()
     edits = data.draw(mutations(len(blob), 8))
-    assert_loads_or_format_error(files, load_embeddings, EmbeddingFormatError,
-                                 mutate(blob, edits))
+    assert_loads_or_format_error(files, lambda path: load_embeddings(path, 3),
+                                 EmbeddingFormatError, mutate(blob, edits))
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,6 +154,8 @@ def image_paths(path):
 
 
 PREDICT = ["predict", "--checkpoint", "{dir}/text.dfsn", "--text", "hello brave new world"]
+TRAIN = ["train", "--manifest", "{path}", "--out", "{dir}/run", "--preset", "tiny",
+         "--epochs", "1", "--batch-size", "2"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -189,9 +192,29 @@ def test_main_manifest(files, command, data):
     blob = (files / "train.jsonl").read_bytes()
     edits = data.draw(mutations(len(blob), 64))
     argv = {"eval": ["eval", "--checkpoint", "{dir}/tiny.dfsn", "--manifest", "{path}"],
-            "train": ["train", "--manifest", "{path}", "--out", "{dir}/run", "--preset", "tiny",
-                      "--epochs", "1", "--batch-size", "2"]}[command]
+            "train": TRAIN}[command]
     assert_main_exits_cleanly(files, "mutated.jsonl", mutate(blob, edits), argv,
+                              also_named=image_paths)
+
+
+def value_edits(rec):
+    """``rec`` with its text and label values redrawn. The line stays valid JSON
+    with every key, so unlike a byte edit it passes the UTF-8, JSON and key
+    checks and meets the label check, the length filter and training."""
+    words = st.lists(st.text(min_size=1, max_size=12), min_size=6, max_size=160).map(" ".join)
+    text = st.one_of(st.just(rec["text"]), st.text(), words)
+    bad_label = st.one_of(st.integers(), st.sampled_from([True, 0.0, "1", None, [1]]))
+    label = st.one_of(st.just(rec["label"]), st.sampled_from([0, 1]), bad_label)
+    return st.builds(lambda t, lab: {**rec, "text": t, "label": lab}, text, label)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_main_manifest_values(files, data):
+    recs = [json.loads(line) for line in (files / "train.jsonl").read_text("utf-8").splitlines()]
+    blob = "".join(json.dumps(data.draw(value_edits(rec)), ensure_ascii=False, sort_keys=True)
+                   + "\n" for rec in recs)
+    assert_main_exits_cleanly(files, "mutated.jsonl", blob.encode("utf-8"), TRAIN,
                               also_named=image_paths)
 
 

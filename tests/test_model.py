@@ -13,6 +13,8 @@ from dfsn.model import (MODALITIES, FusionConfig, ModelSample, batch_loss,
                         head_logits, init_model, predict)
 from dfsn.text import EmbeddingTable, TextConfig, encode_sentence_matrix
 
+from oracles import project
+
 
 def micro_config(modality="fused", dtype="float64"):
     """Much smaller than the tiny preset; full-element grad checks stay cheap."""
@@ -106,15 +108,15 @@ class TestEncodeInputs:
         # the fused gradient splits back: each branch gets what its own block's
         # slice of the projection gives it
         proj = np.random.default_rng(3).uniform(-1, 1, x.shape)
-        backward((x * Tensor(proj)).sum())
+        backward(project(x, proj))
         branch_tensors = {**params.image_params.named_tensors(),
                           **params.text_params.named_tensors()}
         fused_grads = {name: t.grad for name, t in branch_tensors.items()}
         zero_grads(params.tensors())
         x_i, x_t = branches()
         width = config.image.feature_size
-        backward((x_i * Tensor(proj[:, :width])).sum())
-        backward((x_t * Tensor(proj[:, width:])).sum())
+        backward(project(x_i, proj[:, :width]))
+        backward(project(x_t, proj[:, width:]))
         for name, t in branch_tensors.items():
             assert fused_grads[name] is not None and fused_grads[name].any(), name
             assert np.array_equal(fused_grads[name], t.grad), name

@@ -10,7 +10,7 @@ from dfsn.text import (EmbeddingTable, SentenceMatrix, TextConfig, embed_sentenc
                        encode_sentence_matrix, init_text_params, oov_vector,
                        text_feature_maps, text_preset, tokenize)
 
-from oracles import text_windows_loops
+from oracles import project, text_windows_loops
 
 
 def vector(table, word):
@@ -236,13 +236,13 @@ class TestBatchedText:
     def test_batch_gradient_is_sum_of_sentence_gradients(self):
         params, table, token_lists, sms = self.make()
         proj = np.random.default_rng(13).uniform(0.5, 1.5, (len(sms), 18))
-        backward((encode_sentence_matrix(token_lists, table, params) * Tensor(proj)).sum())
+        backward(project(encode_sentence_matrix(token_lists, table, params), proj))
         batched = {h: params.weights[h].grad.copy() for h in params.config.widths}
         for h in params.config.widths:
             params.weights[h].zero_grad()
         for j, tokens in enumerate(token_lists):
             x = encode_sentence_matrix([tokens], table, params)
-            backward((x * Tensor(proj[j:j + 1])).sum())
+            backward(project(x, proj[j:j + 1]))
         for h in params.config.widths:
             assert np.allclose(batched[h], params.weights[h].grad, atol=1e-12)
 
@@ -335,7 +335,7 @@ class TestEncodeText:
         table.row_ids(tokens)
         table_before = table.matrix.copy()
         x = encode_sentence_matrix([tokens], table, params)
-        backward((x * Tensor(np.arange(1.0, 10.0).reshape(1, 9))).sum())
+        backward(project(x, np.arange(1.0, 10.0).reshape(1, 9)))
         for h in (3, 4, 5):
             assert params.weights[h].grad is not None
         assert np.array_equal(table.matrix, table_before)
@@ -343,10 +343,10 @@ class TestEncodeText:
     def test_filter_gradient_matches_finite_differences(self):
         _, params, table = self.make(filters=1, seed=7)
         tokens = tokenize("six words are enough for this probe")
-        proj = Tensor(np.linspace(0.5, 1.5, 9).reshape(1, 9))
+        proj = np.linspace(0.5, 1.5, 9).reshape(1, 9)
 
         def fn(*_):
-            return (encode_sentence_matrix([tokens], table, params) * proj).sum()
+            return project(encode_sentence_matrix([tokens], table, params), proj)
 
         inputs = [params.weights[3], params.biases[3], params.weights[5]]
         report = grad_check(fn, inputs, eps=1e-4, tol=1e-5)
