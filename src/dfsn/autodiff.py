@@ -303,24 +303,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make_node(av @ bv, "matmul", (a, b), back)
 
 
-def window_filter(tokens: np.ndarray, w: Tensor, h: int) -> Tensor:
-    """Row r is ``tokens[r:r + h].reshape(-1) @ w`` for each h-row window of the
-    constant (R, D) ``tokens``; ``w`` is (h*D, F) and alone gets a gradient. kn2row:
-    one (h*F, D) @ (D, R) product whose h offset blocks are shift-added, so no window
-    is formed; unlike ``tokens @ w``, this orientation keeps OpenBLAS buffers small."""
-    rows, dim = tokens.shape
-    if w.ndim != 2 or w.shape[0] != h * dim or not 1 <= h <= rows:
-        raise ShapeError(f"window_filter: width {h} does not fit {tokens.shape} and {w.shape}")
-    f, n, dt = w.shape[1], rows - h + 1, np.result_type(tokens.dtype, w.dtype)
-    tv = tokens.astype(dt, copy=False)
+def window_filter(rows: np.ndarray, ids: np.ndarray, w: Tensor, h: int) -> Tensor:
+    """Row r is ``rows[ids[r:r + h]].reshape(-1) @ w`` for each h-token window of the
+    constant (U, D) distinct ``rows``, picked per token by the (R,) ``ids``; ``w`` is
+    (h*D, F) and alone gets a gradient. kn2row over distinct rows: one (h*F, D) @ (D, U)
+    product (unlike ``rows @ w``, this orientation keeps OpenBLAS buffers small),
+    gathered per token, whose h offset blocks are shift-added, so no window is formed.
+    The backward sums the gradient per distinct row (a stable sort of ``ids`` and
+    ``np.add.reduceat``) before one (h*F, U) @ (U, D) product."""
+    dim, r = rows.shape[1], len(ids)
+    if w.ndim != 2 or w.shape[0] != h * dim or not 1 <= h <= r:
+        raise ShapeError(f"window_filter: width {h} does not fit {r} tokens, {w.shape} weights")
+    f, n, dt = w.shape[1], r - h + 1, np.result_type(rows.dtype, w.dtype)
+    tv = rows.astype(dt, copy=False)
     wt = w.values.astype(dt, copy=False).reshape(h, dim, f).transpose(0, 2, 1).reshape(h * f, dim)
-    p = (wt @ tv.T).reshape(h, f, rows)
+    p = (wt @ tv.T)[:, ids].reshape(h, f, r)
 
     def back(g):
-        gt = np.zeros((h, f, rows), dt)
+        gt = np.zeros((h, f, r), dt)
         for k in range(h):
             gt[k, :, k:k + n] = g.T
-        dwt = (gt.reshape(h * f, rows) @ tv).reshape(h, f, dim)
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))  # each distinct id's first
+        gu = np.add.reduceat(gt.reshape(h * f, r)[:, order], starts, axis=1)
+        dwt = (gu @ tv[ids[order[starts]]]).reshape(h, f, dim)
         return (dwt.transpose(0, 2, 1).reshape(h * dim, f),)
 
     vals = sum(p[k, :, k:k + n] for k in range(h)).T

@@ -287,49 +287,61 @@ def save_checkpoint(params: FusionModelParams, path) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
+def _crc32(fh, size: int) -> int:
+    """CRC32 of the next ``size`` bytes of ``fh``, read through one reused buffer of
+    at most 256 KiB."""
+    buf, crc = memoryview(bytearray(min(size, 1 << 18))), 0
+    for start in range(0, size, len(buf)):
+        crc = zlib.crc32(buf[:fh.readinto(buf[:size - start])], crc)
+    return crc
+
+
 def load_checkpoint(path) -> FusionModelParams:
     """Read a checkpoint, validating magic, CRC, version, the config block,
     and that the payload holds exactly the float32 values of the tensors that
-    config lays out, each one finite."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    config lays out, each one finite. The file is never held whole: the CRC pass
+    streams it, then each tensor's values are read straight into the model (a
+    float64 model's through a float32 staging array)."""
     header = len(CHECKPOINT_MAGIC) + 2 + 4
-    if len(data) < header + 4:
-        raise CheckpointFormatError(f"{path}: file too short to be a checkpoint")
-    if data[:5] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic {data[:5]!r}")
-    view = memoryview(data)  # the config and payload are read through views of this buffer
-    if zlib.crc32(view[:-4]) != struct.unpack("<I", data[-4:])[0]:
-        raise CheckpointFormatError(f"{path}: checksum mismatch, file is corrupt")
-    # a valid CRC proves only that the writer's bytes arrived intact, not that
-    # the writer laid them out right, so every field below is checked
-    version, config_len = struct.unpack_from("<HI", data, 5)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(
-            f"{path}: version {version} unsupported (expected {CHECKPOINT_VERSION})")
-    payload_start, end = header + config_len, len(data) - 4
-    if payload_start > end:
-        raise CheckpointFormatError(f"{path}: the {config_len}-byte config block overruns the file")
-    try:
-        config = config_from_dict(json.loads(bytes(view[header:payload_start]).decode("utf-8")))
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CheckpointFormatError(f"{path}: bad config block ({exc})") from None
-    # a few config bytes can imply any number of parameters: check the
-    # payload holds exactly their 4-byte values before allocating the model
-    implied = sum(math.prod(shape) for shape in config.param_shapes())
-    if 4 * implied != end - payload_start:
-        raise CheckpointFormatError(
-            f"{path}: the config's tensors need {4 * implied} payload bytes "
-            f"({implied} float32 values), the file holds {end - payload_start}")
-    params = empty_model(config)
-    values = np.frombuffer(view[payload_start:end], dtype="<f4")
-    offset = 0
-    for name, tensor in params.named_tensors().items():
-        chunk = values[offset:offset + tensor.numel]
-        if not np.isfinite(chunk).all():
-            raise CheckpointFormatError(f"{path}: tensor {name!r} holds non-finite values")
-        tensor.values[...] = chunk.reshape(tensor.shape)
-        offset += tensor.numel
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < header + 4:
+            raise CheckpointFormatError(f"{path}: file too short to be a checkpoint")
+        head = fh.read(header)
+        if head[:5] != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"{path}: bad magic {head[:5]!r}")
+        fh.seek(0)
+        if struct.pack("<I", _crc32(fh, size - 4)) != fh.read(4):
+            raise CheckpointFormatError(f"{path}: checksum mismatch, file is corrupt")
+        # a valid CRC proves only that the writer's bytes arrived intact, not that
+        # the writer laid them out right, so every field below is checked
+        version, config_len = struct.unpack_from("<HI", head, 5)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(
+                f"{path}: version {version} unsupported (expected {CHECKPOINT_VERSION})")
+        payload_start, end = header + config_len, size - 4
+        if payload_start > end:
+            raise CheckpointFormatError(f"{path}: the {config_len}-byte config block overruns the file")
+        fh.seek(header)
+        try:
+            config = config_from_dict(json.loads(fh.read(config_len).decode("utf-8")))
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise CheckpointFormatError(f"{path}: bad config block ({exc})") from None
+        # a few config bytes can imply any number of parameters: check the
+        # payload holds exactly their 4-byte values before allocating the model
+        implied = sum(math.prod(shape) for shape in config.param_shapes())
+        if 4 * implied != end - payload_start:
+            raise CheckpointFormatError(
+                f"{path}: the config's tensors need {4 * implied} payload bytes "
+                f"({implied} float32 values), the file holds {end - payload_start}")
+        params = empty_model(config)
+        for name, tensor in params.named_tensors().items():
+            chunk = tensor.values if tensor.dtype == "<f4" else np.empty(tensor.shape, "<f4")
+            fh.readinto(memoryview(chunk).cast("B"))
+            # min and max propagate NaN, so no mask of the tensor's size is made
+            if not np.isfinite([chunk.min(), chunk.max()]).all():
+                raise CheckpointFormatError(f"{path}: tensor {name!r} holds non-finite values")
+            tensor.values[...] = chunk  # a no-op unless chunk is a float64 model's staging array
     return params
 
 

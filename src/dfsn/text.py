@@ -2,10 +2,10 @@
 
 Static word vectors live as the rows of one float64 matrix in the
 ``EmbeddingTable``. A sentence becomes a list of row ids, and
-``encode_sentence_matrix`` takes a batch's token rows in one gather over the
-ids of all its sentences. Windowed filters slide over each sentence's rows at
-several widths, and each filter's feature map is pooled into [max, mean,
-min]. The concatenation of those pooled triples is the text feature vector.
+``encode_sentence_matrix`` gathers each distinct row of a batch once. Windowed
+filters slide over each sentence's rows at several widths, and each filter's
+feature map is pooled into [max, mean, min]. The concatenation of those
+pooled triples is the text feature vector.
 """
 
 from __future__ import annotations
@@ -184,11 +184,12 @@ def init_text_params(config: TextConfig, rng: Optional[np.random.Generator],
     return init_layers(config, "text.w", config.param_layers(), rng, dtype)
 
 
-def _filter_map(tokens: np.ndarray, h: int, params: LayerParams) -> Tensor:
-    """f(w . window + b) for every filter (columns) and every h-row window of
-    ``tokens`` (rows), from shift-added per-offset products: no window is
-    formed. Differentiable with respect to the filter weights and biases only."""
-    pre = bias_add(window_filter(tokens, params.weights[h], h), params.biases[h])
+def _filter_map(rows: np.ndarray, ids: np.ndarray, h: int, params: LayerParams) -> Tensor:
+    """f(w . window + b) for every filter (columns) and every h-token window of
+    ``rows[ids]`` (rows), from ``window_filter``'s one product over the distinct
+    ``rows``: no window is formed. Differentiable with respect to the filter
+    weights and biases only."""
+    pre = bias_add(window_filter(rows, ids, params.weights[h], h), params.biases[h])
     return tanh_op(pre) if params.config.nonlinearity == "tanh" else pre
 
 
@@ -198,7 +199,8 @@ def text_feature_maps(sm: SentenceMatrix, params: LayerParams) -> dict[int, Tens
     Windows cover the true length only; a sentence shorter than h contributes
     a single window over the zero-padded matrix so no width ever goes empty.
     """
-    return {h: _filter_map(sm.matrix[:max(sm.n, h)], h, params) for h in params.config.widths}
+    return {h: _filter_map(sm.matrix, np.arange(max(sm.n, h)), h, params)
+            for h in params.config.widths}
 
 
 def encode_sentence_matrix(token_lists: Sequence[Sequence[str]], table: EmbeddingTable,
@@ -207,10 +209,10 @@ def encode_sentence_matrix(token_lists: Sequence[Sequence[str]], table: Embeddin
 
     Each row has 3 * filters_per_width * len(widths) features, laid out
     width-ascending then filter-index-ascending, each filter contributing its
-    [max, mean, min] block. The rows of every sentence, truncated to max_len,
-    come from one gather; each width runs its filters once over all of them,
-    and a sentence pools only its own windows (those ``text_feature_maps``
-    gives it).
+    [max, mean, min] block. Each distinct row of the batch's sentences,
+    truncated to max_len, is gathered once; each width runs its filters once
+    over those rows, and a sentence pools only its own windows (those
+    ``text_feature_maps`` gives it).
     """
     cfg = params.config
     if table.dim != cfg.dim:
@@ -223,14 +225,15 @@ def encode_sentence_matrix(token_lists: Sequence[Sequence[str]], table: Embeddin
         # zero rows up to one window of the widest filter
         ids += [0] * (cfg.widths[-1] - len(row))
         lengths.append(len(row))
-    # cast once: a float32 model's text branch and head run float32
-    rows = table.matrix[ids].astype(params.weights[cfg.widths[0]].dtype, copy=False)
+    # cast each distinct row once: a float32 model's text branch and head run float32
+    distinct, ids = np.unique(ids, return_inverse=True)
+    rows = table.matrix[distinct].astype(params.weights[cfg.widths[0]].dtype, copy=False)
     lengths = np.array(lengths, dtype=np.intp)
     spans = np.maximum(lengths, cfg.widths[-1])
     starts = np.cumsum(spans) - spans
     blocks = []
     for h in cfg.widths:
         counts = np.maximum(lengths, h) - h + 1
-        pooled = triple_pool_columns(_filter_map(rows, h, params), starts, counts)  # (N, F, 3)
+        pooled = triple_pool_columns(_filter_map(rows, ids, h, params), starts, counts)  # (N, F, 3)
         blocks.append(pooled.reshape(len(lengths), -1))
     return concat(blocks, axis=1)

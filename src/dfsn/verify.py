@@ -87,11 +87,13 @@ def _op_trial_factories(rng: np.random.Generator):
         return scalarize(matmul), [a, b]
 
     def window_filter_trial():
-        # constant tokens; widths 1-3 over 2-4 windows of 3-wide rows
+        # constant rows; widths 1-3 over 2-4 windows of tokens drawn, with
+        # repeats, from 3 distinct 3-wide rows
         h = int(rng.integers(1, 4))
-        tokens = rng.uniform(-1, 1, (h + int(rng.integers(1, 4)), 3))
+        rows = rng.uniform(-1, 1, (3, 3))
+        ids = rng.integers(0, 3, h + int(rng.integers(1, 4)))
         w = Tensor(rng.uniform(-1, 1, (h * 3, 2)), requires_grad=True)
-        return scalarize(lambda w_: window_filter(tokens, w_, h)), [w]
+        return scalarize(lambda w_: window_filter(rows, ids, w_, h)), [w]
 
     def bias_add_trial():
         m = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)

@@ -110,45 +110,68 @@ class TestMatmul:
 
 
 class TestWindowFilter:
+    """``window_filter(rows, ids, w, h)`` against the window product over the
+    gathered token rows ``rows[ids]``."""
+
     @staticmethod
     def windows(tokens, h):
         return sliding_window_view(tokens, (h, tokens.shape[1])).reshape(-1, h * tokens.shape[1])
 
-    # (R, D, F, h): general, one window (R == h), h == 1, F == 1, D == 1
-    @pytest.mark.parametrize("rows,dim,f,h", [(7, 4, 3, 3), (3, 4, 3, 3), (6, 4, 3, 1),
-                                              (6, 4, 1, 3), (6, 1, 3, 3)])
-    def test_matches_window_product_forward_and_backward(self, rows, dim, f, h):
-        rng = np.random.default_rng(rows * 100 + dim * 10 + f + h)
-        tokens = rng.uniform(-1, 1, (rows, dim))
-        w = Tensor(rng.uniform(-1, 1, (h * dim, f)), requires_grad=True)
-        g = rng.uniform(-1, 1, (rows - h + 1, f))
-        out = window_filter(tokens, w, h)
-        windows = self.windows(tokens, h)
-        assert out.shape == (rows - h + 1, f)
+    def check_against_gathered_rows(self, rows, ids, f, h, seed):
+        rng = np.random.default_rng(seed)
+        w = Tensor(rng.uniform(-1, 1, (h * rows.shape[1], f)), requires_grad=True)
+        g = rng.uniform(-1, 1, (len(ids) - h + 1, f))
+        out = window_filter(rows, ids, w, h)
+        windows = self.windows(rows[ids], h)
+        assert out.shape == (len(ids) - h + 1, f)
         assert np.allclose(out.values, windows @ w.values, rtol=0, atol=1e-12)
         project(out, g).backward()
         assert np.allclose(w.grad, windows.T @ g, rtol=0, atol=1e-12)
 
+    # (R, D, F, h): general, one window (R == h), h == 1, F == 1, D == 1; the R
+    # ids are drawn with repeats from R + 2 distinct rows, so some rows go unused
+    @pytest.mark.parametrize("rows,dim,f,h", [(7, 4, 3, 3), (3, 4, 3, 3), (6, 4, 3, 1),
+                                              (6, 4, 1, 3), (6, 1, 3, 3)])
+    def test_matches_window_product_forward_and_backward(self, rows, dim, f, h):
+        rng = np.random.default_rng(rows * 100 + dim * 10 + f + h)
+        table = rng.uniform(-1, 1, (rows + 2, dim))
+        ids = rng.integers(0, rows + 2, rows)
+        self.check_against_gathered_rows(table, ids, f, h, seed=rows + dim)
+
+    @pytest.mark.parametrize("ids,h", [
+        ([2, 0, 2, 2, 0, 1, 2], 3),   # repeats, out of order
+        ([0, 3, 3, 5, 0], 2),         # rows 1, 2 and 4 unused
+        ([1, 1, 1, 1], 2),            # a single distinct row
+        ([4, 0, 4], 3),               # R == h: one window
+        ([5, 4, 3, 2, 1, 0], 1),      # every row once, descending
+    ])
+    def test_id_patterns(self, ids, h):
+        rows = np.random.default_rng(len(ids)).uniform(-1, 1, (6, 3))
+        self.check_against_gathered_rows(rows, np.array(ids), 2, h, seed=h)
+
     def test_float32_weights_give_float64_output(self):
         rng = np.random.default_rng(3)
-        tokens = rng.uniform(-1, 1, (5, 2))
+        rows = rng.uniform(-1, 1, (3, 2))
+        ids = np.array([0, 2, 2, 1, 0])
         w = Tensor(rng.uniform(-1, 1, (4, 3)).astype(np.float32), requires_grad=True)
-        out = window_filter(tokens, w, 2)
+        out = window_filter(rows, ids, w, 2)
         assert out.dtype == np.float64
-        assert np.allclose(out.values, self.windows(tokens, 2) @ w.values.astype(np.float64),
+        assert np.allclose(out.values, self.windows(rows[ids], 2) @ w.values.astype(np.float64),
                            rtol=0, atol=1e-12)
         project(out).backward()
         assert w.grad.dtype == np.float32
 
     def test_tokens_get_no_gradient_slot(self):
         w = Tensor(np.ones((2, 1)), requires_grad=True)
-        out = window_filter(np.ones((3, 1)), w, 2)
+        out = window_filter(np.ones((2, 1)), np.array([0, 1, 1]), w, 2)
         assert out._parents == (w,)
 
+    # (R tokens, weight rows, h) over 2-wide rows
     @pytest.mark.parametrize("rows,w_rows,h", [(2, 6, 3), (4, 4, 3), (4, 0, 0)])
     def test_rejects_width_that_does_not_fit(self, rows, w_rows, h):
         with pytest.raises(ShapeError, match="window_filter"):
-            window_filter(np.ones((rows, 2)), Tensor(np.ones((w_rows, 1))), h)
+            window_filter(np.ones((2, 2)), np.zeros(rows, np.intp),
+                          Tensor(np.ones((w_rows, 1))), h)
 
 
 class TestBiasAdd:

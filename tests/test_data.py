@@ -562,6 +562,16 @@ class TestCheckpoint:
 
         assert peak_traced_bytes(load) < 2 ** 20
 
+    def test_load_holds_the_model_not_the_file(self, tmp_path):
+        # a loader that reads the whole file before filling the model holds the
+        # payload twice, about 2x the model's bytes (its arrays and their Tensor
+        # objects, as tracemalloc counts them) at its peak
+        params = self.make_params(seed=19)
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(params, path)
+        model_bytes = peak_traced_bytes(lambda: empty_model(params.config))
+        assert peak_traced_bytes(lambda: load_checkpoint(path)) < 1.5 * model_bytes
+
 
 def config_paths(node, path=()):
     """Path of every dict entry and list element below ``node``, parents first."""

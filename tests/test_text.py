@@ -265,6 +265,48 @@ class TestBatchedText:
                     for i in range(cfg.filters_per_width)]
             assert got[j].tobytes() == np.concatenate(want).tobytes()
 
+    @staticmethod
+    def repeated_batch(dtype):
+        """43 sentences over a 5-word vocabulary: 40 drawn ones, one with an OOV
+        word, an empty one and one longer than max_len."""
+        cfg = TextConfig(dim=4, max_len=6, widths=(2, 3), filters_per_width=2)
+        params = init_text_params(cfg, np.random.default_rng(15), dtype=dtype)
+        words = ["sun", "rain", "sky", "sea", "dark"]
+        rng = np.random.default_rng(16)
+        table = EmbeddingTable(dim=4, vectors={w: rng.uniform(-1, 1, 4) for w in words},
+                               fallback_seed=9)
+        token_lists = [[words[i] for i in rng.integers(0, 5, int(rng.integers(1, 7)))]
+                       for _ in range(40)]
+        token_lists += [["sun", "unseen", "sun"], [], [words[i] for i in rng.integers(0, 5, 9)]]
+        return params, table, token_lists
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_repeated_batch_equals_per_sentence_path(self, dtype):
+        params, table, token_lists = self.repeated_batch(dtype)
+        cfg = params.config
+        got = encode_sentence_matrix(token_lists, table, params).values
+        # the batch's tokens come from 7 distinct rows: pad, 5 words, unseen
+        assert table.matrix.shape == (7, 4)
+        for j, tokens in enumerate(token_lists):
+            sm = embed_sentence(tokens, table, cfg.max_len)
+            maps = text_feature_maps(SentenceMatrix(sm.matrix.astype(dtype), sm.n), params)
+            want = [triple_pool(Tensor(maps[h].values[:, i])).values for h in cfg.widths
+                    for i in range(cfg.filters_per_width)]
+            assert got[j].tobytes() == np.concatenate(want).tobytes()
+
+    def test_repeated_batch_gradient_is_sum_of_sentence_gradients(self):
+        params, table, token_lists = self.repeated_batch(np.float64)
+        widths = params.config.widths
+        proj = np.random.default_rng(17).uniform(0.5, 1.5, (len(token_lists), 12))
+        backward(project(encode_sentence_matrix(token_lists, table, params), proj))
+        batched = {h: params.weights[h].grad.copy() for h in widths}
+        for h in widths:
+            params.weights[h].zero_grad()
+        for j, tokens in enumerate(token_lists):
+            backward(project(encode_sentence_matrix([tokens], table, params), proj[j:j + 1]))
+        for h in widths:
+            assert np.allclose(batched[h], params.weights[h].grad, atol=1e-12)
+
     def test_rows_of_wrong_shape_rejected(self):
         params, _, token_lists, _ = self.make()
         with pytest.raises(ShapeError, match="embedding dim 4 != text branch dim 3"):

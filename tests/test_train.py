@@ -1,12 +1,14 @@
 """Training engine: schedule, optimizer, metrics, determinism, learning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dfsn.autodiff import Tensor
 from dfsn.model import ModelSample, init_model
 from dfsn.text import EmbeddingTable, TextConfig
-from dfsn.train import (MetricsReport, TrainConfig, TrainingError, evaluate,
+from dfsn.train import (SGD_BLOCK, MetricsReport, TrainConfig, TrainingError, evaluate,
                         lr_at_step, render_history_markdown, sgd_step, train)
 from dfsn.model import FusionConfig
 
@@ -125,6 +127,24 @@ class TestSgdStep:
         sgd_step([t], [g], lr=lr)
         assert t.values.dtype == param_dtype
         assert np.array_equal(t.values, expect)
+
+    def test_blocked_update_is_bitwise_the_float64_formula_without_its_temporary(self):
+        # eight whole blocks and a partial one, across the rows of a 2-D tensor
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal((8, SGD_BLOCK + 5)).astype(np.float32)
+        g = rng.standard_normal(v.shape).astype(np.float32)
+        lr = 0.0371
+        expect = (v.astype(np.float64) - lr * g.astype(np.float64)).astype(np.float32)
+        t = Tensor(v.copy())
+        tracemalloc.start()
+        try:
+            sgd_step([t], [g], lr=lr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(t.values, expect)
+        # the whole-gradient float64 product alone is 2 * g.nbytes
+        assert peak < g.nbytes
 
 
 class TestMetrics:
