@@ -68,7 +68,8 @@ class Tensor:
     may be updated in place by an optimizer between backward passes.
     ``grad`` matches ``values`` in shape and dtype once populated; only a
     leaf (a tensor without a backward rule) gets one. Float32 and float64
-    data keep their dtype; any other data becomes float64.
+    data keep their dtype; any other data becomes float64. Inference runs on
+    constant parameters (``LayerParams.frozen``), so it records no graph.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_op", "_parents", "_backward_fn")
@@ -126,7 +127,8 @@ class Tensor:
 def _make_node(values: np.ndarray, op: str, parents: Sequence[Tensor],
                backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
                out_dtype=None) -> Tensor:
-    """Wrap an op result; the backward context is kept only when needed."""
+    """Wrap an op result. Only if a parent requires grad are the parents and the backward
+    closure (and its buffers) kept; on constant parameters, as in inference, none are."""
     if out_dtype is None:
         out_dtype = np.result_type(*(p.values.dtype for p in parents))
     out = Tensor(values.astype(out_dtype, copy=False))
@@ -216,6 +218,13 @@ class LayerParams:
             out[f"{self.prefix}{i}.weight"] = w
             out[f"{self.prefix}{i}.bias"] = self.biases[i]
         return out
+
+    def frozen(self) -> "LayerParams":
+        """A twin over the same arrays, as tensors that require no grad: ops on it
+        keep no graph. Nothing is copied, so an update to these parameters shows."""
+        return LayerParams(self.config, self.prefix,
+                           {i: Tensor(w.values) for i, w in self.weights.items()},
+                           {i: Tensor(b.values) for i, b in self.biases.items()})
 
 
 def init_layers(config, prefix: str, layers, rng: Optional[np.random.Generator],

@@ -9,6 +9,7 @@ takes only the flags it reads; settings merge as defaults < config file < flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -289,6 +290,8 @@ COMMANDS = {
 }
 
 
+# built once per process; handlers look up what they call when they run
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfsn", description="joint visual-textual sentiment classification")

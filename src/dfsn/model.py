@@ -106,6 +106,11 @@ class FusionModelParams:
     def tensors(self) -> list[Tensor]:
         return list(self.named_tensors().values())
 
+    def frozen(self) -> "FusionModelParams":
+        """The constant twin that inference runs on (``LayerParams.frozen``)."""
+        parts = (self.image_params, self.text_params, self.head)
+        return FusionModelParams(self.config, *(None if p is None else p.frozen() for p in parts))
+
 
 def init_model(config: FusionConfig, seed: int = 0) -> FusionModelParams:
     """Glorot-uniform weights (``init_layers``), zero biases; image, text and
@@ -212,7 +217,9 @@ def predict(image, text, params: FusionModelParams,
 
     ``image`` is decoded pixels and ``text`` a raw string; preprocessing and
     tokenizing happen here. Inputs for a branch the model lacks may be None.
+    The forward runs on constant parameters, so it records no graph.
     """
+    params = params.frozen()
     cfg = params.config
     img = None
     if cfg.image is not None:

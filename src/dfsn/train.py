@@ -133,12 +133,13 @@ class MetricsReport:
                 f"{self.f1:.3f} {self.accuracy:.3f}")
 
 
-# evaluate runs the samples through the batched forward pass in chunks. A
-# chunk's graph keeps its im2col buffers alive until its logits are read, so
-# a chunk holds at most EVAL_CHUNK samples and EVAL_CHUNK_PIXELS input pixels:
-# 32 tiny (16 px) images, or one full (224 px) image.
+# evaluate runs the samples through the batched forward pass in chunks, on
+# constant parameters, so each op's buffers (conv2d's im2col columns too) are
+# freed op by op. A chunk holds at most EVAL_CHUNK samples and EVAL_CHUNK_PIXELS
+# input pixels: 32 tiny (16 px) images, or four full (224 px) ones, which peak
+# at about 37 MiB of traced allocations (9.3 MiB per full image).
 EVAL_CHUNK = 32
-EVAL_CHUNK_PIXELS = EVAL_CHUNK * 16 * 16
+EVAL_CHUNK_PIXELS = 4 * 224 * 224
 
 
 def evaluate(params: FusionModelParams, samples: Sequence[ModelSample],
@@ -146,6 +147,7 @@ def evaluate(params: FusionModelParams, samples: Sequence[ModelSample],
     """Confusion counts of argmax predictions over a materialized dataset."""
     if len(samples) == 0:
         raise ValueError("evaluate needs a nonempty dataset")
+    params = params.frozen()
     chunk = EVAL_CHUNK
     if params.config.image is not None:
         chunk = max(1, min(chunk, EVAL_CHUNK_PIXELS // params.config.image.input_side ** 2))
@@ -154,7 +156,6 @@ def evaluate(params: FusionModelParams, samples: Sequence[ModelSample],
         part = samples[start:start + chunk]
         x = encode_inputs([s.image for s in part], [s.tokens for s in part], params, table)
         preds.append(predicted_label(forward(x, params)))
-        del x  # frees this chunk's graph before the next chunk builds its own
     # bin 2 * label + prediction counts tn, fp, fn, tp in that order; any
     # label other than 1 counts as negative
     codes = 2 * (np.array([s.label for s in samples]) == 1) + np.concatenate(preds)

@@ -66,3 +66,48 @@ def test_summary_over_per_layer_names_keeps_columns_aligned():
     longest = max(len(s["name"]) for s in specs)
     assert len({len(row) for row in rows} | {len(lines[0])}) == 1
     assert all(row[longest] == " " for row in rows)
+
+
+def verdicts(pairs, metrics):
+    lines = bench_pairs.summarise(pairs, metrics)
+    return dict(line.removeprefix("verdict ").split(": ") for line in lines
+                if line.startswith("verdict "))
+
+
+BOUNDED = [{"name": "speed", "better": "higher", "bound": 0.25},
+           {"name": "ms", "better": "lower", "bound": 0.25}]
+
+
+def test_verdict_gain_needs_nine_tenths_of_the_pairs_and_a_gap_over_the_iqr():
+    # parent speed 10..11 (IQR 0.5), change 12 in all ten pairs; ms wins 9/10
+    # pairs by a gap over its IQR
+    pairs = [(result(10 + (i % 3) / 2, 5 + (i % 2) / 10), result(12, 5.2 if i == 0 else 4))
+             for i in range(10)]
+    assert verdicts(pairs, BOUNDED) == {"speed": "gain", "ms": "gain"}
+    # 8 of 10 wins is not enough, though the medians are as far apart
+    pairs[0], pairs[1] = (result(13, 3), result(12, 4)), (result(13, 3), result(12, 4))
+    assert verdicts(pairs, BOUNDED) == {"speed": "unresolved", "ms": "unresolved"}
+
+
+def test_verdict_worse_beyond_the_bound():
+    # speed 10 -> 7 and ms 4 -> 5.2: both worse by 30%, past the 0.25 bound
+    pairs = [(result(10, 4), result(7, 5.2)) for _ in range(5)]
+    assert verdicts(pairs, BOUNDED) == {"speed": "worse", "ms": "worse"}
+    # a metric without a bound is never worse
+    assert verdicts(pairs, METRICS) == {"speed": "unresolved", "ms": "unresolved"}
+
+
+def test_verdict_unresolved_inside_the_bound():
+    # 20% worse is inside the bound; a win of every pair inside the parent's
+    # own spread is no gain
+    pairs = [(result(10 + i, 4), result(8 + i, 4.8)) for i in range(5)]
+    assert verdicts(pairs, BOUNDED) == {"speed": "unresolved", "ms": "unresolved"}
+    pairs = [(result(10 + 2 * i, 4), result(10.5 + 2 * i, 4)) for i in range(10)]
+    assert verdicts(pairs, BOUNDED)["speed"] == "unresolved"
+
+
+def test_verdict_lines_sit_between_the_table_and_the_failure_counts():
+    pairs = [(result(10, 5), result(12, 4))]
+    lines = bench_pairs.summarise(pairs, BOUNDED)
+    assert lines[3:5] == ["verdict speed: gain", "verdict ms: gain"]
+    assert lines[5].startswith("parent: ") and lines[6].startswith("change: ")

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dfsn import data as dio
 from dfsn.autodiff import Tensor
-from dfsn.model import ModelSample, init_model
+from dfsn.model import ModelSample, fusion_preset, init_model
 from dfsn.text import EmbeddingTable, TextConfig
 from dfsn.train import (SGD_BLOCK, MetricsReport, TrainConfig, TrainingError, evaluate,
                         lr_at_step, render_history_markdown, sgd_step, train)
@@ -29,6 +30,17 @@ def polarized_samples(n, seed=0):
         tokens[int(rng.integers(0, len(tokens)))] = "good" if label else "bad"
         samples.append(ModelSample(image=None, tokens=tokens, label=label))
     return samples
+
+
+@pytest.fixture(scope="module")
+def full_fused(tmp_path_factory):
+    """A `full` fused model (init seed 2) and six `gen-data` samples, on which its
+    predictions are mixed: 5 positive, 1 negative."""
+    config = fusion_preset("full")
+    table = EmbeddingTable(dim=config.text.dim, fallback_seed=0)
+    out = tmp_path_factory.mktemp("full-data")
+    samples = dio.materialize(dio.gen_synthetic(6, seed=3, out_dir=out), out, config, table)
+    return init_model(config, seed=2), samples, table
 
 
 class TestSchedule:
@@ -250,7 +262,7 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(params, [], None)
 
-    def test_chunk_size_leaves_counts_unchanged(self, monkeypatch):
+    def test_chunk_size_leaves_counts_unchanged(self, monkeypatch, full_fused):
         import dfsn.train as train_mod
 
         config = text_only_config()
@@ -262,6 +274,33 @@ class TestEvaluate:
             monkeypatch.setattr(train_mod, "EVAL_CHUNK", chunk)
             m = evaluate(params, samples, table)
             assert (m.tp, m.fp, m.fn, m.tn) == (whole.tp, whole.fp, whole.fn, whole.tn)
+        # the `full` fused model at its pixel budget of 4 images, then at 1 and 2
+        params, samples, table = full_fused
+        monkeypatch.setattr(train_mod, "EVAL_CHUNK", 32)
+        assert train_mod.EVAL_CHUNK_PIXELS // 224 ** 2 == 4
+        whole = evaluate(params, samples, table)
+        assert 0 < whole.tp + whole.fp < whole.total  # both labels predicted
+        for chunk in (1, 2):
+            monkeypatch.setattr(train_mod, "EVAL_CHUNK", chunk)
+            m = evaluate(params, samples, table)
+            assert (m.tp, m.fp, m.fn, m.tn) == (whole.tp, whole.fp, whole.fn, whole.tn)
+
+    def test_full_sample_peak_without_a_graph(self, full_fused):
+        # one `full` sample held its graph at a 30 MiB traced peak; the
+        # constant forward frees each op's buffers and peaks at about 9.3 MiB
+        params, samples, table = full_fused
+        tracemalloc.start()
+        try:
+            evaluate(params, samples[:1], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2 ** 20
+
+    def test_parameters_get_no_gradient(self, full_fused):
+        params, samples, table = full_fused
+        evaluate(params, samples, table)
+        assert all(t.grad is None and t.requires_grad for t in params.tensors())
 
 
 class TestHistoryRendering:

@@ -14,8 +14,9 @@ pair favours neither side. Each run's last JSON line is parsed, and every
 end-to-end metric of ``BENCHMARK.json`` is printed with the median and
 quartiles per side, the change/parent ratio of the medians, the number of
 pairs the change won, and whether the median gap exceeds the parent's
-interquartile range. The failed-operation counts of both sides close the
-table. With ``--trace``, both sides run ``--trace 1`` instead and the table
+interquartile range. A verdict line per metric follows the table (see
+``verdict``), and the failed-operation counts of both sides close the
+report. With ``--trace``, both sides run ``--trace 1`` instead and the table
 covers the per-layer metrics of ``BENCHMARK.json`` (per-op milliseconds per
 step, spans, step percentiles); traced runs report no end-to-end metric.
 """
@@ -54,11 +55,25 @@ def _fmt(q: tuple[float, float, float]) -> str:
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
 
+def verdict(spec: dict, pq: tuple[float, float, float], gap: float, won: int, pairs: int) -> str:
+    """``gain`` when the change won at least 9/10 of the pairs and its median
+    beats the parent's by a ``gap`` larger than the parent's IQR; ``worse`` when
+    its median is worse than the parent's by more than the metric's relative
+    ``bound`` (a metric without one is never ``worse``); ``unresolved`` otherwise."""
+    if 10 * won >= 9 * pairs and gap > pq[2] - pq[0]:
+        return "gain"
+    if "bound" in spec and -gap > spec["bound"] * abs(pq[1]):
+        return "worse"
+    return "unresolved"
+
+
 def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
-    """Report lines for (parent result, change result) pairs."""
+    """Report lines for (parent result, change result) pairs: the table, one
+    ``verdict <metric>: <verdict>`` line per metric, then the failure counts."""
     width = max([22] + [len(spec["name"]) for spec in metrics])
     lines = [f"{'metric':<{width}} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} "
              f"{'ratio':>6} {'won':>6} {'gap>IQR':>7}"]
+    verdicts = []
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
         par = [p["metrics"][name]["value"] for p, _ in pairs]
@@ -69,6 +84,8 @@ def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
         lines.append(f"{name:<{width}} {_fmt(pq):>32} {_fmt(cq):>32} {ratio:>6.3f} "
                      f"{f'{won}/{len(pairs)}':>6} {'yes' if gap > pq[2] - pq[0] else 'no':>7}")
+        verdicts.append(f"verdict {name}: {verdict(spec, pq, gap, won, len(pairs))}")
+    lines += verdicts
     for side, idx in (("parent", 0), ("change", 1)):
         failed = sum(pair[idx]["failed"] for pair in pairs)
         attempted = sum(pair[idx]["attempted"] for pair in pairs)
