@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -61,24 +61,22 @@ def _record_switch(build: Callable[[], np.ndarray]) -> None:
 
 
 class Tensor:
-    """N-dimensional array plus an optional gradient buffer.
+    """N-dimensional array plus the graph edge that produced it.
 
     ``values`` is row-major and its shape is fixed at creation. Tensors
     produced by operations are treated as immutable; parameters (leaves)
-    may be updated in place by an optimizer between backward passes.
-    ``grad`` matches ``values`` in shape and dtype once populated; only a
-    leaf (a tensor without a backward rule) gets one. Float32 and float64
+    may be updated in place by an optimizer between backward passes. A
+    tensor holds no gradient: ``backward`` returns them. Float32 and float64
     data keep their dtype; any other data becomes float64. Inference runs on
     constant parameters (``LayerParams.frozen``), so it records no graph.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_op", "_parents", "_backward_fn")
+    __slots__ = ("values", "requires_grad", "_op", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         self.values = arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
         self._op: Optional[str] = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
@@ -103,12 +101,6 @@ class Tensor:
         if self.values.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.values.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -161,26 +153,26 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on the leaves reachable from ``loss``: the requires_grad
-    tensors without a backward rule, such as parameters. Other nodes keep None.
-
-    ``loss`` must hold a single element. Gradients accumulate across calls;
-    use ``zero_grads`` (or ``Tensor.zero_grad``) to reset between steps.
-    """
+def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[Optional[np.ndarray]]:
+    """The gradient of the scalar ``loss`` for each tensor of ``wrt``, at that tensor's
+    dtype, or None for one that ``loss`` does not reach through ops that require grad.
+    Nothing is stored on a tensor. The arrays are read-only: an op may hand on its
+    incoming gradient (``bias_add``) or views of it (``concat``)."""
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    wanted = {id(t) for t in wrt}
+    grads: dict[int, np.ndarray] = {}
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values, dtype=np.float64)}
     for node in reversed(_topo_order(loss)):
         g = flowing.pop(id(node), None)
-        if g is None:
+        if g is None or not node.requires_grad:
             continue
         # the closure sees g at its node's dtype, so a float64 gradient from the
         # loss does not upcast a float32 branch's backward
         g = g.astype(node.values.dtype, copy=False)
+        if id(node) in wanted:
+            grads[id(node)] = g
         if node._backward_fn is None:
-            if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward_fn(g)
         for parent, pg in zip(node._parents, parent_grads):
@@ -191,11 +183,7 @@ def backward(loss: Tensor) -> None:
                 flowing[key] = flowing[key] + pg
             else:
                 flowing[key] = pg
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
+    return [grads.get(id(t)) for t in wrt]
 
 
 # -- layer parameters --------------------------------------------------------

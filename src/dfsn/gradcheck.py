@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, backward, capture_switch_signature, zero_grads
+from .autodiff import Tensor, ShapeError, backward, capture_switch_signature
 
 
 @dataclass
@@ -94,16 +94,13 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     if sample is not None and rng is None:
         raise ValueError("sampled grad_check needs an rng for index selection")
 
-    zero_grads(inputs)
     with capture_switch_signature() as sink:
         loss = fn(*inputs)
     base_signature = tuple(sink)
     if not isinstance(loss, Tensor) or loss.values.size != 1:
         raise ShapeError("grad_check: fn must return a scalar tensor")
-    backward(loss)
-    analytic = [np.zeros(t.shape, dtype=np.float64) if t.grad is None
-                else t.grad.astype(np.float64).copy()
-                for t in inputs]
+    analytic = [np.zeros(t.shape, dtype=np.float64) if g is None else g.astype(np.float64)
+                for t, g in zip(inputs, backward(loss, inputs))]
 
     def probe_once(current_inputs):
         with capture_switch_signature() as sink:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, ShapeError, backward, check_int, zero_grads
+from .autodiff import Tensor, ShapeError, backward, check_int
 from .model import (FusionModelParams, ModelSample, batch_loss, encode_inputs,
                     forward, predicted_label)
 from .text import EmbeddingTable
@@ -81,9 +81,8 @@ def sgd_step(tensors: Sequence[Tensor], grads: Sequence[np.ndarray], lr: float) 
                         dtype=np.float64, casting="same_kind")
 
 
-def apply_gradients(params: FusionModelParams, lr: float) -> None:
-    tensors = params.tensors()
-    sgd_step(tensors, [t.grad for t in tensors], lr)
+def apply_gradients(params: FusionModelParams, grads: Sequence, lr: float) -> None:
+    sgd_step(params.tensors(), grads, lr)
 
 
 # -- metrics -------------------------------------------------------------------
@@ -239,8 +238,8 @@ def train(params: FusionModelParams, train_samples: Sequence[ModelSample],
           out_dir=None) -> tuple[FusionModelParams, TrainHistory]:
     """Run seeded mini-batch SGD over the dataset.
 
-    Per step: zero gradients, mean batch loss, backward, parameter update at
-    the scheduled rate. Evaluations run every ``cfg.eval_every`` epochs on the
+    Per step: mean batch loss, ``backward``, parameter update at the
+    scheduled rate. Evaluations run every ``cfg.eval_every`` epochs on the
     training split and, when given, on ``eval_samples``. With ``out_dir`` set,
     final and best-accuracy checkpoints plus the history CSV are written
     there (best accuracy is measured on the evaluation split if present,
@@ -264,15 +263,15 @@ def train(params: FusionModelParams, train_samples: Sequence[ModelSample],
         order = rng.permutation(len(train_samples))
         for batch_idx in _batches(order, cfg.batch_size):
             batch = [train_samples[i] for i in batch_idx]
-            zero_grads(params.tensors())
             loss = batch_loss(batch, params, table)
             loss_value = loss.item()
             if not math.isfinite(loss_value):
                 raise TrainingError(f"non-finite loss {loss_value} at step {step}")
-            backward(loss)
-            del loss  # frees this step's graph before the next step builds its own
+            grads = backward(loss, params.tensors())
+            del loss  # frees this step's graph and its buffers before the update
             lr = lr_at_step(step, cfg)
-            apply_gradients(params, lr)
+            apply_gradients(params, grads, lr)
+            del grads  # a `full` step's 26 MB of gradients must not outlive the update
             history.steps.append(StepRecord(step=step, lr=lr, loss=loss_value))
             step += 1
         if cfg.eval_every and epoch % cfg.eval_every == 0:

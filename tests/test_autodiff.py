@@ -29,8 +29,11 @@ class TestTensorBasics:
         assert t.values.dtype == np.float32
 
     def test_grad_absent_until_backward(self):
+        # a tensor holds no gradient, before backward or after: backward returns it
         t = Tensor([1.0], requires_grad=True)
-        assert t.grad is None
+        assert not hasattr(t, "grad")
+        assert backward(project(t), [t])[0].tolist() == [1.0]
+        assert not hasattr(t, "grad")
 
     def test_item_rejects_non_scalar(self):
         with pytest.raises(ShapeError):
@@ -50,9 +53,9 @@ class TestRelu:
 
     def test_gradient_mask(self):
         t = Tensor([-1.0, 0.0, 5.0], requires_grad=True)
-        project(relu(t)).backward()
+        (grad,) = backward(project(relu(t)), [t])
         # subgradient at exactly 0 is 0
-        assert t.grad.tolist() == [0.0, 0.0, 1.0]
+        assert grad.tolist() == [0.0, 0.0, 1.0]
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
     def test_idempotent(self, xs):
@@ -70,8 +73,8 @@ class TestTanh:
 
     def test_gradient_at_zero_is_one(self):
         t = Tensor([0.0], requires_grad=True)
-        project(tanh_op(t)).backward()
-        assert t.grad[0] == pytest.approx(1.0)
+        (grad,) = backward(project(tanh_op(t)), [t])
+        assert grad[0] == pytest.approx(1.0)
 
 
 class TestMatmul:
@@ -103,10 +106,10 @@ class TestMatmul:
     def test_backward_rules(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
         b = Tensor(np.array([[5.0], [6.0]]), requires_grad=True)
-        project(matmul(a, b)).backward()
+        da, db = backward(project(matmul(a, b)), [a, b])
         # dA = g @ B^T with g all-ones, dB = A^T @ g
-        assert np.allclose(a.grad, np.array([[5.0, 6.0], [5.0, 6.0]]))
-        assert np.allclose(b.grad, np.array([[4.0], [6.0]]))
+        assert np.allclose(da, np.array([[5.0, 6.0], [5.0, 6.0]]))
+        assert np.allclose(db, np.array([[4.0], [6.0]]))
 
 
 class TestWindowFilter:
@@ -125,8 +128,8 @@ class TestWindowFilter:
         windows = self.windows(rows[ids], h)
         assert out.shape == (len(ids) - h + 1, f)
         assert np.allclose(out.values, windows @ w.values, rtol=0, atol=1e-12)
-        project(out, g).backward()
-        assert np.allclose(w.grad, windows.T @ g, rtol=0, atol=1e-12)
+        (dw,) = backward(project(out, g), [w])
+        assert np.allclose(dw, windows.T @ g, rtol=0, atol=1e-12)
 
     # (R, D, F, h): general, one window (R == h), h == 1, F == 1, D == 1; the R
     # ids are drawn with repeats from R + 2 distinct rows, so some rows go unused
@@ -158,8 +161,8 @@ class TestWindowFilter:
         assert out.dtype == np.float64
         assert np.allclose(out.values, self.windows(rows[ids], 2) @ w.values.astype(np.float64),
                            rtol=0, atol=1e-12)
-        project(out).backward()
-        assert w.grad.dtype == np.float32
+        (dw,) = backward(project(out), [w])
+        assert dw.dtype == np.float32
 
     def test_tokens_get_no_gradient_slot(self):
         w = Tensor(np.ones((2, 1)), requires_grad=True)
@@ -182,9 +185,9 @@ class TestBiasAdd:
     def test_bias_grad_sums_rows(self):
         m = Tensor(np.zeros((4, 2)), requires_grad=True)
         v = Tensor(np.zeros(2), requires_grad=True)
-        project(bias_add(m, v)).backward()
-        assert np.array_equal(v.grad, [4.0, 4.0])
-        assert np.array_equal(m.grad, np.ones((4, 2)))
+        dm, dv = backward(project(bias_add(m, v)), [m, v])
+        assert np.array_equal(dv, [4.0, 4.0])
+        assert np.array_equal(dm, np.ones((4, 2)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -216,9 +219,9 @@ class TestConcat:
     def test_backward_splits(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, 4.0, 5.0], requires_grad=True)
-        project(concat([a, b]), [1.0, 2.0, 3.0, 4.0, 5.0]).backward()
-        assert a.grad.tolist() == [1.0, 2.0]
-        assert b.grad.tolist() == [3.0, 4.0, 5.0]
+        da, db = backward(project(concat([a, b]), [1.0, 2.0, 3.0, 4.0, 5.0]), [a, b])
+        assert da.tolist() == [1.0, 2.0]
+        assert db.tolist() == [3.0, 4.0, 5.0]
 
     @given(st.lists(st.lists(st.floats(-5, 5), min_size=1, max_size=5),
                     min_size=1, max_size=4))
@@ -242,8 +245,8 @@ class TestSoftmaxCrossEntropy:
 
     def test_gradient_at_uniform(self):
         logits = Tensor([0.0, 0.0], requires_grad=True)
-        softmax_cross_entropy(logits, 0).backward()
-        assert np.allclose(logits.grad, [-0.5, 0.5])
+        (grad,) = backward(softmax_cross_entropy(logits, 0), [logits])
+        assert np.allclose(grad, [-0.5, 0.5])
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
@@ -255,14 +258,14 @@ class TestSoftmaxCrossEntropy:
         logits = np.array([[0.5, -1.0, 0.2], [2.0, 0.0, -0.4], [0.0, 0.3, 0.1]])
         labels = [1, 0, 2]
         batch = Tensor(logits, requires_grad=True)
-        softmax_cross_entropy(batch, labels).backward()
+        (batch_grad,) = backward(softmax_cross_entropy(batch, labels), [batch])
         rows = []
-        for row, label, grad in zip(logits, labels, batch.grad):
+        for row, label, grad in zip(logits, labels, batch_grad):
             single = Tensor(row, requires_grad=True)
             loss = softmax_cross_entropy(single, label)
-            loss.backward()
+            (single_grad,) = backward(loss, [single])
             rows.append(loss.item())
-            assert np.allclose(grad, single.grad / len(labels), rtol=1e-12, atol=0)
+            assert np.allclose(grad, single_grad / len(labels), rtol=1e-12, atol=0)
         batch_loss = softmax_cross_entropy(Tensor(logits), labels).item()
         assert batch_loss == pytest.approx(np.mean(rows), rel=1e-12)
 
@@ -302,31 +305,52 @@ class TestSoftmaxCrossEntropy:
 class TestBackward:
     def test_dead_relu_region_gives_zeros(self):
         t = Tensor([-0.5, -1.5], requires_grad=True)
-        loss = project(relu(tanh_op(t)))
-        loss.backward()
-        assert np.array_equal(t.grad, np.zeros(2))
+        (grad,) = backward(project(relu(tanh_op(t))), [t])
+        assert np.array_equal(grad, np.zeros(2))
 
-    def test_grads_accumulate_across_calls(self):
+    def test_unreached_and_constant_tensors_get_none(self):
         t = Tensor([2.0], requires_grad=True)
-        project(t).backward()
-        project(t).backward()
-        assert t.grad[0] == 2.0
-        t.zero_grad()
-        project(t).backward()
-        assert t.grad[0] == 1.0
+        unreached = Tensor([1.0], requires_grad=True)
+        constant = Tensor([3.0])
+        loss = project(concat([t, constant]), [1.0, 1.0])
+        d_unreached, d_constant, dt = backward(loss, [unreached, constant, t])
+        assert d_unreached is None and d_constant is None
+        assert dt.tolist() == [1.0]
+        assert backward(project(constant), [constant]) == [None]
+
+    def test_float32_leaf_under_float64_loss_gets_float32_gradient(self):
+        t = Tensor(np.array([0.5, -2.0], np.float32), requires_grad=True)
+        u = Tensor([1.5], requires_grad=True)
+        loss = project(concat([tanh_op(t), u]), [3.0, 4.0, 5.0])
+        assert loss.dtype == np.float64
+        dt, du = backward(loss, [t, u])
+        assert dt.dtype == np.float32 and du.dtype == np.float64
+        assert np.allclose(dt, [3.0, 4.0] * (1.0 - np.tanh(t.values) ** 2), rtol=1e-6, atol=0)
+        assert du.tolist() == [5.0]
+
+    def test_tensor_listed_twice_gets_equal_gradients(self):
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        first, second = backward(project(tanh_op(t), [3.0, 4.0]), [t, t])
+        assert np.array_equal(first, second)
+        assert np.allclose(first, [3.0, 4.0] * (1.0 - np.tanh(t.values) ** 2), rtol=1e-12)
+
+    def test_repeated_calls_do_not_accumulate(self):
+        t = Tensor([2.0], requires_grad=True)
+        loss = project(t)
+        assert [backward(loss, [t])[0][0] for _ in range(2)] == [1.0, 1.0]
 
     def test_diamond_graph_accumulates_once_per_path(self):
         t = Tensor([3.0], requires_grad=True)
         y = concat([t, t])  # two parent slots of one node hold t
-        project(y, [1.0, 2.0]).backward()
-        assert t.grad[0] == 3.0
+        (grad,) = backward(project(y, [1.0, 2.0]), [t])
+        assert grad[0] == 3.0
 
     def test_shared_node_fanout(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         h = tanh_op(t)  # read by relu and by concat
         loss = project(concat([relu(h), h]), [1.0, 2.0, 3.0, 4.0])
-        loss.backward()
-        assert np.allclose(t.grad, [4.0, 6.0] * (1.0 - np.tanh(t.values) ** 2),
+        (grad,) = backward(loss, [t])
+        assert np.allclose(grad, [4.0, 6.0] * (1.0 - np.tanh(t.values) ** 2),
                            rtol=1e-12, atol=0)
 
     def test_only_leaves_keep_a_gradient(self):
@@ -337,36 +361,36 @@ class TestBackward:
         hidden = bias_add(matmul(x, w), b)
         out = tanh_op(hidden)
         loss = project(out)
-        loss.backward()
+        dw, db, dx = backward(loss, [w, b, x])
         assert hidden.requires_grad and out.requires_grad
-        assert hidden.grad is None and out.grad is None and loss.grad is None
-        assert x.grad is None
+        assert not any(hasattr(n, "grad") for n in (w, b, x, hidden, out, loss))
+        assert dx is None
         dh = 1.0 - np.tanh(x.values @ w.values + b.values) ** 2
-        assert np.allclose(w.grad, x.values.T @ dh, rtol=1e-12, atol=0)
-        assert np.allclose(b.grad, dh.sum(axis=0), rtol=1e-12, atol=0)
+        assert np.allclose(dw, x.values.T @ dh, rtol=1e-12, atol=0)
+        assert np.allclose(db, dh.sum(axis=0), rtol=1e-12, atol=0)
 
     def test_non_scalar_loss_rejected(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
-            backward(tanh_op(t))
+            backward(tanh_op(t), [t])
 
     def test_mean_backward(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
-        _mean(t).backward()
-        assert np.allclose(t.grad, np.full((2, 2), 0.25))
+        (grad,) = backward(_mean(t), [t])
+        assert np.allclose(grad, np.full((2, 2), 0.25))
 
     def test_reshape_backward(self):
         t = Tensor(np.arange(6.0), requires_grad=True)
-        project(t.reshape(2, 3), np.arange(6.0).reshape(2, 3)).backward()
-        assert np.array_equal(t.grad, np.arange(6.0))
+        (grad,) = backward(project(t.reshape(2, 3), np.arange(6.0).reshape(2, 3)), [t])
+        assert np.array_equal(grad, np.arange(6.0))
 
     def test_values_stay_finite_through_pipeline(self):
         rng = np.random.default_rng(0)
         t = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
         loss = project(tanh_op(matmul(t, t)))
-        loss.backward()
+        (grad,) = backward(loss, [t])
         assert np.isfinite(loss.item())
-        assert np.isfinite(t.grad).all()
+        assert np.isfinite(grad).all()
 
 
 class TestComputeGraph:
@@ -390,16 +414,16 @@ class TestComputeGraph:
 
     def test_grad_dtype_follows_tensor(self):
         t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        project(t, [2.0, 2.0, 2.0]).backward()
-        assert t.grad.dtype == np.float32
+        (grad,) = backward(project(t, [2.0, 2.0, 2.0]), [t])
+        assert grad.dtype == np.float32
 
 
 def assert_dtype_rule(op, shapes, dtypes):
     """Run ``op`` on leaves of the given shapes and dtypes and check the dtype
     rule: the value, the gradient ``backward`` hands the op's closure (cast
     from the float64 one of the projection) and the gradients the closure
-    returns all take ``np.result_type`` of the operands; each leaf's grad keeps
-    its dtype."""
+    returns all take ``np.result_type`` of the operands; each leaf's gradient
+    comes back at its dtype."""
     rng = np.random.default_rng(0)
     leaves = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
               for shape, dtype in zip(shapes, dtypes)]
@@ -414,9 +438,9 @@ def assert_dtype_rule(op, shapes, dtypes):
         return grads
 
     out._backward_fn = spy
-    project(out).backward()
+    grads = backward(project(out), leaves)
     assert seen == [want] * (1 + len(leaves))
-    assert [leaf.grad.dtype for leaf in leaves] == list(dtypes)
+    assert [g.dtype for g in grads] == list(dtypes)
 
 
 DTYPE_RULE_OPS = {

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dfsn import autodiff
-from dfsn.autodiff import (LayerParams, ShapeError, Tensor, capture_switch_signature, conv2d,
-                           lrn, maxpool2d, triple_pool, triple_pool_columns)
+from dfsn.autodiff import (LayerParams, ShapeError, Tensor, backward, capture_switch_signature,
+                           conv2d, lrn, maxpool2d, triple_pool, triple_pool_columns)
 from dfsn.gradcheck import grad_check
 from dfsn.image import encode_image, image_preset, init_image_params
 
@@ -80,10 +80,10 @@ class TestConv2d:
         xt = Tensor(x, requires_grad=True)
         kt = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
         bt = Tensor(np.zeros(1), requires_grad=True)
-        project(conv2d(xt, kt, bt)).backward()
-        assert np.allclose(kt.grad.reshape(3, 3), x[0])
-        assert np.allclose(xt.grad, np.ones((1, 3, 3)))
-        assert bt.grad.tolist() == [1.0]
+        dx, dk, db = backward(project(conv2d(xt, kt, bt)), [xt, kt, bt])
+        assert np.allclose(dk.reshape(3, 3), x[0])
+        assert np.allclose(dx, np.ones((1, 3, 3)))
+        assert db.tolist() == [1.0]
 
     # kernel > stride, so windows overlap; each case leaves trailing rows or
     # columns that no window reaches ((H + 2p - k) % s != 0, or the same in W)
@@ -178,15 +178,15 @@ class TestMaxPool2d:
 
     def test_tie_routes_gradient_to_first_occurrence(self):
         t = Tensor([[[5.0, 5.0], [5.0, 5.0]]], requires_grad=True)
-        project(maxpool2d(t, 2, 2)).backward()
-        assert t.grad.tolist() == [[[1.0, 0.0], [0.0, 0.0]]]
+        (grad,) = backward(project(maxpool2d(t, 2, 2)), [t])
+        assert grad.tolist() == [[[1.0, 0.0], [0.0, 0.0]]]
 
     def test_overlapping_gradient_accumulates(self):
         t = Tensor([[[1.0, 2.0, 3.0]] * 3], requires_grad=True)
-        project(maxpool2d(t, 2, 1)).backward()
+        (grad,) = backward(project(maxpool2d(t, 2, 1)), [t])
         # column 2 wins every window along each pooled row
-        assert t.grad.sum() == 4.0
-        assert np.all(t.grad[:, :, :1] == 0.0)
+        assert grad.sum() == 4.0
+        assert np.all(grad[:, :, :1] == 0.0)
 
     def test_post_relu_ties_match_oracle_values_picks_and_gradient(self):
         # about half the inputs are 0 after the ReLU, so many windows tie at 0
@@ -200,11 +200,11 @@ class TestMaxPool2d:
         assert np.array_equal(out.values, np.stack([maxpool2d_loops(item, 3, 2) for item in x]))
         assert sink == [picks.astype(np.int32).tobytes()]
         g = rng.uniform(-1, 1, out.shape)
-        project(out, g).backward()
+        (grad,) = backward(project(out, g), [t])
         expect = np.zeros_like(x)
         for (n, c, i, j), k in np.ndenumerate(picks):
             expect[n, c, 2 * i + k // 3, 2 * j + k % 3] += g[n, c, i, j]
-        assert np.allclose(t.grad, expect, rtol=0, atol=1e-15)
+        assert np.allclose(grad, expect, rtol=0, atol=1e-15)
 
     def test_window_with_nan_routes_gradient_to_its_first_nan(self):
         # as argmax does: NaN is the maximum of its window, and the first NaN
@@ -215,8 +215,8 @@ class TestMaxPool2d:
                      [0.0, 4.0, 5.0, 6.0, 7.0, 7.0]]], requires_grad=True)
         out = maxpool2d(t, 2, 2)
         assert np.array_equal(out.values, [[[nan, 2.0, nan]]], equal_nan=True)
-        project(out, [[[1.0, 10.0, 100.0]]]).backward()
-        assert t.grad.tolist() == [[[0.0, 0.0, 10.0, 0.0, 100.0, 0.0],
+        (grad,) = backward(project(out, [[[1.0, 10.0, 100.0]]]), [t])
+        assert grad.tolist() == [[[0.0, 0.0, 10.0, 0.0, 100.0, 0.0],
                                     [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                                     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]]
 
@@ -288,9 +288,9 @@ class TestTriplePool:
 
     def test_gradient_routing(self):
         t = Tensor([-1.0, 0.0, 4.0], requires_grad=True)
-        project(triple_pool(t), [1.0, 3.0, 5.0]).backward()
+        (grad,) = backward(project(triple_pool(t), [1.0, 3.0, 5.0]), [t])
         # max -> index 2, mean spreads 3/3 everywhere, min -> index 0
-        assert np.allclose(t.grad, [1.0 + 5.0, 1.0, 1.0 + 1.0])
+        assert np.allclose(grad, [1.0 + 5.0, 1.0, 1.0 + 1.0])
 
 
 class TestBatchedShapes:
@@ -361,21 +361,21 @@ class TestSegmentPool:
         out = triple_pool_columns(t, starts)
         assert out.shape == (len(lengths), 3, 3)
         proj = rng.uniform(0.5, 1.5, out.shape)
-        project(out, proj).backward()
+        (grad,) = backward(project(out, proj), [t])
         for s, (first, length) in enumerate(zip(starts, lengths)):
             for col in range(3):
                 seg = Tensor(v[first:first + length, col], requires_grad=True)
                 pooled = triple_pool(seg)
-                project(pooled, proj[s, col]).backward()
+                (seg_grad,) = backward(project(pooled, proj[s, col]), [seg])
                 assert np.array_equal(out.values[s, col], pooled.values)
-                assert np.array_equal(t.grad[first:first + length, col], seg.grad)
+                assert np.array_equal(grad[first:first + length, col], seg_grad)
 
     def test_ties_route_to_first_occurrence_in_each_segment(self):
         t = Tensor([[3.0], [5.0], [5.0], [1.0], [1.0], [2.0], [2.0]], requires_grad=True)
         out = triple_pool_columns(t, (0, 5))
         assert out.values[:, 0].tolist() == [[5.0, 3.0, 1.0], [2.0, 2.0, 2.0]]
-        project(out, [[[1.0, 0.0, 10.0]], [[100.0, 0.0, 1000.0]]]).backward()
-        assert t.grad[:, 0].tolist() == [0.0, 1.0, 0.0, 10.0, 0.0, 1100.0, 0.0]
+        (grad,) = backward(project(out, [[[1.0, 0.0, 10.0]], [[100.0, 0.0, 1000.0]]]), [t])
+        assert grad[:, 0].tolist() == [0.0, 1.0, 0.0, 10.0, 0.0, 1100.0, 0.0]
 
     def test_rows_between_segments_are_ignored(self):
         v = np.arange(14.0).reshape(7, 2) % 5
@@ -384,9 +384,9 @@ class TestSegmentPool:
         for s, rows in enumerate((slice(1, 3), slice(4, 6))):
             want = triple_pool_columns(Tensor(v[rows]))
             assert np.array_equal(out.values[s], want.values[0])
-        project(out).backward()
-        assert not t.grad[[0, 3, 6]].any()
-        assert t.grad[[1, 2, 4, 5]].sum(axis=0).tolist() == [6.0, 6.0]
+        (grad,) = backward(project(out), [t])
+        assert not grad[[0, 3, 6]].any()
+        assert grad[[1, 2, 4, 5]].sum(axis=0).tolist() == [6.0, 6.0]
 
     @pytest.mark.parametrize("starts,counts", [((-1,), None), ((0, 0), None),
                                                ((0, 3, 2), None), ((0, 7), None),
@@ -446,8 +446,8 @@ class TestPoolingPicksOnDemand:
         else:
             out = POOL_OPS[name](t)
         g = np.random.default_rng(22).uniform(-1, 1, out.shape).astype(dtype)
-        project(out, g).backward()
-        return out.values.tobytes(), t.grad.tobytes(), sink
+        (grad,) = backward(project(out, g), [t])
+        return out.values.tobytes(), grad.tobytes(), sink
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", sorted(POOL_OPS))
@@ -464,7 +464,7 @@ class TestPoolingPicksOnDemand:
         t = Tensor(pool_input("maxpool2d", np.float32), requires_grad=True)
         out = maxpool2d(t, 3, 2)
         assert counting.calls == {"where": 0, "isnan": 0}
-        project(out).backward()
+        backward(project(out), [t])
         assert counting.calls == {"where": 9, "isnan": 9}
         with capture_switch_signature():
             maxpool2d(t, 3, 2)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dfsn.autodiff import ShapeError, Tensor, backward, zero_grads
+from dfsn.autodiff import ShapeError, Tensor, backward
 from dfsn.gradcheck import grad_check
 from dfsn.image import ConvLayerSpec, ConvStackConfig, encode_image
 from dfsn.model import (MODALITIES, FusionConfig, ModelSample, batch_loss,
@@ -109,18 +109,17 @@ class TestEncodeInputs:
         # the fused gradient splits back: each branch gets what its own block's
         # slice of the projection gives it
         proj = np.random.default_rng(3).uniform(-1, 1, x.shape)
-        backward(project(x, proj))
-        branch_tensors = {**params.image_params.named_tensors(),
-                          **params.text_params.named_tensors()}
-        fused_grads = {name: t.grad for name, t in branch_tensors.items()}
-        zero_grads(params.tensors())
+        image_tensors = params.image_params.named_tensors()
+        text_tensors = params.text_params.named_tensors()
+        fused_grads = backward(project(x, proj),
+                               [*image_tensors.values(), *text_tensors.values()])
         x_i, x_t = branches()
         width = config.image.feature_size
-        backward(project(x_i, proj[:, :width]))
-        backward(project(x_t, proj[:, width:]))
-        for name, t in branch_tensors.items():
-            assert fused_grads[name] is not None and fused_grads[name].any(), name
-            assert np.array_equal(fused_grads[name], t.grad), name
+        branch_grads = (backward(project(x_i, proj[:, :width]), list(image_tensors.values()))
+                        + backward(project(x_t, proj[:, width:]), list(text_tensors.values())))
+        for name, fused, branch in zip([*image_tensors, *text_tensors], fused_grads, branch_grads):
+            assert fused is not None and fused.any(), name
+            assert np.array_equal(fused, branch), name
 
     def test_frozen_parameters_record_no_graph(self):
         config = micro_config()
@@ -255,14 +254,14 @@ class TestLosses:
         config = micro_config()
         params = init_model(config, seed=11)
         table = EmbeddingTable(dim=config.text.dim, fallback_seed=0)
-        zero_grads(params.tensors())
-        backward(batch_loss([micro_sample(seed=3)], params, table))
-        image_norm = sum(float(np.abs(t.grad).sum())
-                         for t in params.image_params.named_tensors().values()
-                         if t.grad is not None)
-        text_norm = sum(float(np.abs(t.grad).sum())
-                        for t in params.text_params.named_tensors().values()
-                        if t.grad is not None)
+        image_tensors = list(params.image_params.named_tensors().values())
+        text_tensors = list(params.text_params.named_tensors().values())
+        grads = backward(batch_loss([micro_sample(seed=3)], params, table),
+                         image_tensors + text_tensors)
+        image_norm = sum(float(np.abs(g).sum())
+                         for g in grads[:len(image_tensors)] if g is not None)
+        text_norm = sum(float(np.abs(g).sum())
+                        for g in grads[len(image_tensors):] if g is not None)
         assert image_norm > 0.0
         assert text_norm > 0.0
 
@@ -340,7 +339,7 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak < 15 * 2 ** 20
-        assert all(t.grad is None and t.requires_grad for t in params.tensors())
+        assert all(t.requires_grad for t in params.tensors())
 
 
 class TestEndToEndGradients:

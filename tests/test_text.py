@@ -236,15 +236,15 @@ class TestBatchedText:
     def test_batch_gradient_is_sum_of_sentence_gradients(self):
         params, table, token_lists, sms = self.make()
         proj = np.random.default_rng(13).uniform(0.5, 1.5, (len(sms), 18))
-        backward(project(encode_sentence_matrix(token_lists, table, params), proj))
-        batched = {h: params.weights[h].grad.copy() for h in params.config.widths}
-        for h in params.config.widths:
-            params.weights[h].zero_grad()
+        weights = [params.weights[h] for h in params.config.widths]
+        batched = backward(project(encode_sentence_matrix(token_lists, table, params), proj),
+                           weights)
+        summed = [np.zeros(w.shape) for w in weights]
         for j, tokens in enumerate(token_lists):
             x = encode_sentence_matrix([tokens], table, params)
-            backward(project(x, proj[j:j + 1]))
-        for h in params.config.widths:
-            assert np.allclose(batched[h], params.weights[h].grad, atol=1e-12)
+            summed = [s + g for s, g in zip(summed, backward(project(x, proj[j:j + 1]), weights))]
+        for b, s in zip(batched, summed):
+            assert np.allclose(b, s, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batch_equals_per_sentence_path(self, dtype):
@@ -298,14 +298,15 @@ class TestBatchedText:
         params, table, token_lists = self.repeated_batch(np.float64)
         widths = params.config.widths
         proj = np.random.default_rng(17).uniform(0.5, 1.5, (len(token_lists), 12))
-        backward(project(encode_sentence_matrix(token_lists, table, params), proj))
-        batched = {h: params.weights[h].grad.copy() for h in widths}
-        for h in widths:
-            params.weights[h].zero_grad()
+        weights = [params.weights[h] for h in widths]
+        batched = backward(project(encode_sentence_matrix(token_lists, table, params), proj),
+                           weights)
+        summed = [np.zeros(w.shape) for w in weights]
         for j, tokens in enumerate(token_lists):
-            backward(project(encode_sentence_matrix([tokens], table, params), proj[j:j + 1]))
-        for h in widths:
-            assert np.allclose(batched[h], params.weights[h].grad, atol=1e-12)
+            x = encode_sentence_matrix([tokens], table, params)
+            summed = [s + g for s, g in zip(summed, backward(project(x, proj[j:j + 1]), weights))]
+        for b, s in zip(batched, summed):
+            assert np.allclose(b, s, atol=1e-12)
 
     def test_rows_of_wrong_shape_rejected(self):
         params, _, token_lists, _ = self.make()
@@ -377,9 +378,9 @@ class TestEncodeText:
         table.row_ids(tokens)
         table_before = table.matrix.copy()
         x = encode_sentence_matrix([tokens], table, params)
-        backward(project(x, np.arange(1.0, 10.0).reshape(1, 9)))
-        for h in (3, 4, 5):
-            assert params.weights[h].grad is not None
+        grads = backward(project(x, np.arange(1.0, 10.0).reshape(1, 9)),
+                         [params.weights[h] for h in (3, 4, 5)])
+        assert all(g is not None for g in grads)
         assert np.array_equal(table.matrix, table_before)
 
     def test_filter_gradient_matches_finite_differences(self):

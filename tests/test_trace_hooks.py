@@ -15,6 +15,7 @@ import pytest
 
 import dfsn.autodiff
 import dfsn.cli  # noqa: F401  (imports every module the tracer wraps)
+import dfsn.data
 import dfsn.model
 import dfsn.text
 
@@ -58,7 +59,7 @@ def test_install_then_uninstall_restores_every_binding():
     try:
         t.phase = "train"
         x = dfsn.autodiff.Tensor([-1.0, 2.0], requires_grad=True)
-        dfsn.autodiff.backward(project(dfsn.autodiff.relu(x)))
+        dfsn.autodiff.backward(project(dfsn.autodiff.relu(x)), [x])
         assert t.op_calls[("train", "relu")] == 1
         assert t.op_bwd[("train", "relu")] > 0.0
     finally:
@@ -90,3 +91,23 @@ def test_batch_loss_records_a_text_span():
     names = [span[0] for span in t.spans]
     assert names.count("model.batch_loss") == 1
     assert names.count("text.encode_sentence_matrix") == 1
+
+
+def test_traced_training_counts_one_step_per_update(tmp_path):
+    # the tracer ends a step at each train.apply_gradients call
+    config = dfsn.model.fusion_preset("tiny")
+    table = dfsn.text.EmbeddingTable(dim=config.text.dim, fallback_seed=0)
+    manifest = dfsn.data.gen_synthetic(10, seed=3, out_dir=tmp_path)
+    samples = dfsn.data.materialize(manifest, tmp_path, config, table)
+    train_module = importlib.import_module("dfsn.train")  # the package's `train` is the function
+    cfg = train_module.TrainConfig(batch_size=4, epochs=2, eval_every=0)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.phase = "train"
+        _, history = train_module.train(dfsn.model.init_model(config, seed=0), samples, cfg, table)
+    finally:
+        t.uninstall()
+    assert len(history.steps) == 6  # 3 batches of at most 4 samples per epoch
+    assert t.counts()["steps"] == len(history.steps)
+    assert len(t.step_ms()) == len(history.steps)
