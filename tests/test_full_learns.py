@@ -26,7 +26,8 @@ def test_epoch_accuracies_reads_each_split_of_a_history():
 def test_exit_code_follows_the_bound(monkeypatch, capsys):
     monkeypatch.setattr(full_learns, "full_run",
                         lambda seed, epochs: {"train": [0.5, 0.9], "test": [0.5, 0.8]})
-    assert full_learns.main([]) == 0
-    assert full_learns.main(["--bound", "0.85"]) == 1
+    assert full_learns.main() == 0
+    monkeypatch.setattr(full_learns, "BOUND", 0.85)
+    assert full_learns.main() == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
         "best test accuracy 0.800 FAILS the bound 0.85")

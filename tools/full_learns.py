@@ -2,15 +2,15 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/full_learns.py [--seed S] [--epochs E] [--bound B]
+    python3 tools/full_learns.py
 
 In a temporary directory it runs, through ``dfsn.cli.main``,
 
-    dfsn gen-data --n 100 --seed S
-    dfsn train --preset full --batch-size 2 --holdout 0.2 --lr 0.01 --epochs E --seed S
+    dfsn gen-data --n 100 --seed 5
+    dfsn train --preset full --batch-size 2 --holdout 0.2 --lr 0.01 --epochs 8 --seed 5
 
 prints the train and test accuracy of every epoch from ``history.csv``, and
-exits 0 when the best test accuracy reaches the bound, 1 when it does not.
+exits 0 when the best test accuracy reaches ``BOUND``, 1 when it does not.
 The rate is 100 times the default ``1e-4``: at the default rate the ``full``
 model stays at chance for far more steps than this check can afford (see
 README). The checkout's own ``src/`` is imported, not an installed copy.
@@ -18,7 +18,6 @@ README). The checkout's own ``src/`` is imported, not an installed copy.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import sys
@@ -29,6 +28,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from dfsn import cli  # noqa: E402
+
+SEED = 5
+EPOCHS = 8
+BOUND = 0.8  # the best test accuracy must reach this
 
 
 def epoch_accuracies(history_csv: str) -> dict[str, list[float]]:
@@ -57,20 +60,14 @@ def full_run(seed: int, epochs: int) -> dict[str, list[float]]:
         return epoch_accuracies((out / "history.csv").read_text(encoding="utf-8"))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--epochs", type=int, default=8)
-    parser.add_argument("--bound", type=float, default=0.8,
-                        help="the best test accuracy must reach this")
-    args = parser.parse_args(argv)
-    acc = full_run(args.seed, args.epochs)
+def main() -> int:
+    acc = full_run(SEED, EPOCHS)
     for split in ("train", "test"):
         print(f"{split}: " + " ".join(f"{a:.3f}" for a in acc[split]))
     best = max(acc["test"])
-    verdict = "reaches" if best >= args.bound else "FAILS"
-    print(f"best test accuracy {best:.3f} {verdict} the bound {args.bound}")
-    return 0 if best >= args.bound else 1
+    verdict = "reaches" if best >= BOUND else "FAILS"
+    print(f"best test accuracy {best:.3f} {verdict} the bound {BOUND}")
+    return 0 if best >= BOUND else 1
 
 
 if __name__ == "__main__":
