@@ -374,7 +374,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     Output spatial extents follow floor((H + 2*pad - kh) / stride) + 1. The
     forward lowers the whole batch to one im2col matrix product; backward
     produces gradients for the kernels, the per-output-channel bias and, when
-    it requires grad, the input.
+    it requires grad, the input. The node keeps no columns: backward re-forms
+    them from ``x.values``, so an input must not change before backward.
     """
     _check_image_rank(x, "conv2d")
     if kernels.ndim != 4:
@@ -397,25 +398,28 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     dt = np.result_type(x.dtype, kernels.dtype, bias.dtype)
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-    # channel-major im2col: each kernel offset copies its strided (ho, wo) runs
-    # of a (c_in, n, Hp, Wp) buffer into c_in rows of a (c_in*kh*kw, n*ho*wo) matrix
-    xp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad), dt)
-    xp[:, :, pad:pad + h, pad:pad + w] = x.values.reshape(n, c_in, h, w).transpose(1, 0, 2, 3)
-    cols = np.empty((c_in, kh, kw, n, ho, wo), dt)
     offsets = [(i, j, slice(i, i + stride * (ho - 1) + 1, stride),
                 slice(j, j + stride * (wo - 1) + 1, stride)) for i in range(kh) for j in range(kw)]
-    for i, j, rows, cs in offsets:
-        cols[:, i, j] = xp[:, :, rows, cs]
-    cols = cols.reshape(c_in * kh * kw, n * ho * wo)
+
+    def im2col():
+        # channel-major im2col: each kernel offset copies its strided (ho, wo) runs
+        # of a (c_in, n, Hp, Wp) buffer into c_in rows of a (c_in*kh*kw, n*ho*wo) matrix
+        xp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad), dt)
+        xp[:, :, pad:pad + h, pad:pad + w] = x.values.reshape(n, c_in, h, w).transpose(1, 0, 2, 3)
+        cols = np.empty((c_in, kh, kw, n, ho, wo), dt)
+        for i, j, rows, cs in offsets:
+            cols[:, i, j] = xp[:, :, rows, cs]
+        return cols.reshape(c_in * kh * kw, n * ho * wo)
+
     kmat = kernels.values.astype(dt, copy=False).reshape(c_out, -1)
-    out = kmat @ cols + bias.values[:, None]
+    out = kmat @ im2col() + bias.values[:, None]
     # (c_out, n, ho, wo) viewed as (n, c_out, ho, wo): each (ho, wo) plane stays contiguous
     vals = out.reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3).reshape(
         x.shape[:-3] + (c_out, ho, wo))
 
     def back(g):
         gcm = g.reshape(n, c_out, ho, wo).transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
-        dk = (gcm @ cols.T).reshape(c_out, c_in, kh, kw)
+        dk = (gcm @ im2col().T).reshape(c_out, c_in, kh, kw)
         db = gcm.sum(axis=1)
         if not x.requires_grad:
             # a constant input, such as the image, needs no gradient

@@ -1,5 +1,7 @@
 """Convolution-stack operations against independent nested-loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,57 @@ class TestConv2d:
         assert varying[0].shape == x.shape
         assert np.array_equal(const[1], varying[1])
         assert np.array_equal(const[2], varying[2])
+
+    def test_node_keeps_no_columns(self):
+        # the `full` preset's layer 2 at batch 2: its im2col columns (14 MB)
+        # are ten times its output (1.5 MB), and the node must not keep them
+        rng = np.random.default_rng(610)
+        x = Tensor(rng.uniform(-1, 1, (2, 96, 27, 27)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (256, 96, 5, 5)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(256, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, k, b, pad=2)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2, 256, 27, 27)
+        assert held < 2 * out.values.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_recomputed_columns_give_the_kept_columns_bits(self, dtype):
+        # the same channel-major im2col and col2im, written out with the
+        # columns formed once and kept from forward to backward
+        rng = np.random.default_rng(620)
+        n, c_in, h, w, c_out, kh, s, p = 2, 3, 9, 8, 4, 5, 2, 1
+        x = rng.uniform(-1, 1, (n, c_in, h, w)).astype(dtype)
+        k = rng.uniform(-1, 1, (c_out, c_in, kh, kh)).astype(dtype)
+        b = rng.uniform(-1, 1, c_out).astype(dtype)
+        ho, wo = (h + 2 * p - kh) // s + 1, (w + 2 * p - kh) // s + 1
+        g = rng.uniform(-1, 1, (n, c_out, ho, wo)).astype(dtype)
+        xp = np.zeros((c_in, n, h + 2 * p, w + 2 * p), dtype)
+        xp[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
+        cols = np.empty((c_in, kh, kh, n, ho, wo), dtype)
+        spans = [(i, j, slice(i, i + s * (ho - 1) + 1, s), slice(j, j + s * (wo - 1) + 1, s))
+                 for i in range(kh) for j in range(kh)]
+        for i, j, rows, cs in spans:
+            cols[:, i, j] = xp[:, :, rows, cs]
+        cols = cols.reshape(c_in * kh * kh, n * ho * wo)
+        kmat = k.reshape(c_out, -1)
+        gcm = g.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
+        dcols = (kmat.T @ gcm).reshape(c_in, kh, kh, n, ho, wo)
+        dxp = np.zeros_like(xp)
+        for i, j, rows, cs in spans:
+            dxp[:, :, rows, cs] += dcols[:, i, j]
+
+        xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
+        out = conv2d(xt, kt, bt, stride=s, pad=p)
+        dx, dk, db = out._backward_fn(g)
+        expect = (kmat @ cols + b[:, None]).reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3)
+        assert np.array_equal(out.values, expect)
+        assert np.array_equal(dk, (gcm @ cols.T).reshape(k.shape))
+        assert np.array_equal(db, gcm.sum(axis=1))
+        assert np.array_equal(dx, dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3))
 
 
 class TestMaxPool2d:

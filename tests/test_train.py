@@ -286,7 +286,7 @@ class TestEvaluate:
             assert (m.tp, m.fp, m.fn, m.tn) == (whole.tp, whole.fp, whole.fn, whole.tn)
 
     def test_full_sample_peak_without_a_graph(self, full_fused):
-        # one `full` sample held its graph at a 30 MiB traced peak; the
+        # one `full` sample's forward with a graph peaks at 14 MiB traced; the
         # constant forward frees each op's buffers and peaks at about 9.3 MiB
         params, samples, table = full_fused
         tracemalloc.start()
