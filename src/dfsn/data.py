@@ -247,6 +247,8 @@ def save_ppm(path, pixels: np.ndarray) -> None:
 
 CHECKPOINT_MAGIC = b"DFSN1"
 CHECKPOINT_VERSION = 2
+# magic, format version, config block length; the config block follows
+CHECKPOINT_HEADER = struct.Struct("<5sHI")
 
 
 def _checkpoint_chunks(params: FusionModelParams):
@@ -255,7 +257,8 @@ def _checkpoint_chunks(params: FusionModelParams):
     copied when the tensor already holds contiguous float32 values."""
     config_json = json.dumps(config_to_dict(params.config),
                              sort_keys=True, separators=(",", ":")).encode("utf-8")
-    yield CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(config_json)) + config_json
+    yield (CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(config_json))
+           + config_json)
     for tensor in params.tensors():
         yield memoryview(np.ascontiguousarray(tensor.values, "<f4")).cast("B")
 
@@ -287,44 +290,33 @@ def save_checkpoint(params: FusionModelParams, path) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
-def _crc32(fh, size: int) -> int:
-    """CRC32 of the next ``size`` bytes of ``fh``, read through one reused buffer of
-    at most 256 KiB."""
-    buf, crc = memoryview(bytearray(min(size, 1 << 18))), 0
-    for start in range(0, size, len(buf)):
-        crc = zlib.crc32(buf[:fh.readinto(buf[:size - start])], crc)
-    return crc
-
-
 def load_checkpoint(path) -> FusionModelParams:
-    """Read a checkpoint, validating magic, CRC, version, the config block,
-    and that the payload holds exactly the float32 values of the tensors that
-    config lays out, each one finite. The file is never held whole: the CRC pass
-    streams it, then each tensor's values are read straight into the model (a
-    float64 model's through a float32 staging array)."""
-    header = len(CHECKPOINT_MAGIC) + 2 + 4
+    """Read a checkpoint in one pass, in file order, validating magic, version,
+    the config block, that the payload holds exactly the float32 values of the
+    tensors that config lays out, the CRC over every byte, and then that each
+    tensor is finite. The file is never held whole: each tensor's values are
+    read straight into the model (a float64 model's through a float32 staging
+    array), and the CRC accumulates over them as they land."""
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size < header + 4:
+        if size < CHECKPOINT_HEADER.size + 4:
             raise CheckpointFormatError(f"{path}: file too short to be a checkpoint")
-        head = fh.read(header)
-        if head[:5] != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"{path}: bad magic {head[:5]!r}")
-        fh.seek(0)
-        if struct.pack("<I", _crc32(fh, size - 4)) != fh.read(4):
-            raise CheckpointFormatError(f"{path}: checksum mismatch, file is corrupt")
-        # a valid CRC proves only that the writer's bytes arrived intact, not that
-        # the writer laid them out right, so every field below is checked
-        version, config_len = struct.unpack_from("<HI", head, 5)
+        head = fh.read(CHECKPOINT_HEADER.size)
+        magic, version, config_len = CHECKPOINT_HEADER.unpack(head)
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
+        # the CRC comes last, so each field is checked as it arrives; a header
+        # corrupted under a stale CRC fails the first check its field breaks
         if version != CHECKPOINT_VERSION:
             raise CheckpointFormatError(
                 f"{path}: version {version} unsupported (expected {CHECKPOINT_VERSION})")
-        payload_start, end = header + config_len, size - 4
+        payload_start, end = CHECKPOINT_HEADER.size + config_len, size - 4
         if payload_start > end:
             raise CheckpointFormatError(f"{path}: the {config_len}-byte config block overruns the file")
-        fh.seek(header)
+        block = fh.read(config_len)
+        crc = zlib.crc32(block, zlib.crc32(head))
         try:
-            config = config_from_dict(json.loads(fh.read(config_len).decode("utf-8")))
+            config = config_from_dict(json.loads(block.decode("utf-8")))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CheckpointFormatError(f"{path}: bad config block ({exc})") from None
         # a few config bytes can imply any number of parameters: check the
@@ -334,14 +326,20 @@ def load_checkpoint(path) -> FusionModelParams:
             raise CheckpointFormatError(
                 f"{path}: the config's tensors need {4 * implied} payload bytes "
                 f"({implied} float32 values), the file holds {end - payload_start}")
-        params = empty_model(config)
+        params, non_finite = empty_model(config), None
         for name, tensor in params.named_tensors().items():
             chunk = tensor.values if tensor.dtype == "<f4" else np.empty(tensor.shape, "<f4")
-            fh.readinto(memoryview(chunk).cast("B"))
+            view = memoryview(chunk).cast("B")
+            fh.readinto(view)
+            crc = zlib.crc32(view, crc)
             # min and max propagate NaN, so no mask of the tensor's size is made
-            if not np.isfinite([chunk.min(), chunk.max()]).all():
-                raise CheckpointFormatError(f"{path}: tensor {name!r} holds non-finite values")
+            if non_finite is None and not np.isfinite([chunk.min(), chunk.max()]).all():
+                non_finite = name
             tensor.values[...] = chunk  # a no-op unless chunk is a float64 model's staging array
+        if struct.pack("<I", crc) != fh.read(4):
+            raise CheckpointFormatError(f"{path}: checksum mismatch, file is corrupt")
+        if non_finite is not None:
+            raise CheckpointFormatError(f"{path}: tensor {non_finite!r} holds non-finite values")
     return params
 
 

@@ -96,42 +96,6 @@ class ConvStackConfig:
                  (spec.out_channels,)) for i, spec in enumerate(self.layers, start=1)]
 
 
-# The "full" stack mirrors the classic 5-layer configuration: 96/256/384/384/256
-# channels, 11/5/3/3/3 kernels, stride 4 then 1, LRN after layers 1-2, pooling
-# after layers 1, 2, 5. Feature size at 224x224 input: 256*6*6 = 9216.
-# The "tiny" stack (16x16 input, feature size 8*2*2 = 32) keeps the same
-# LRN/pool placement and is the default for tests and desk-scale experiments.
-IMAGE_PRESETS = {
-    "full": ConvStackConfig(
-        layers=(
-            ConvLayerSpec(96, 11, stride=4, pad=2, has_lrn=True, pool_window=3, pool_stride=2),
-            ConvLayerSpec(256, 5, stride=1, pad=2, has_lrn=True, pool_window=3, pool_stride=2),
-            ConvLayerSpec(384, 3, stride=1, pad=1),
-            ConvLayerSpec(384, 3, stride=1, pad=1),
-            ConvLayerSpec(256, 3, stride=1, pad=1, pool_window=3, pool_stride=2),
-        ),
-        input_side=224,
-    ),
-    "tiny": ConvStackConfig(
-        layers=(
-            ConvLayerSpec(4, 3, stride=1, pad=1, has_lrn=True, pool_window=2, pool_stride=2),
-            ConvLayerSpec(4, 3, stride=1, pad=1, has_lrn=True, pool_window=2, pool_stride=2),
-            ConvLayerSpec(8, 3, stride=1, pad=1),
-            ConvLayerSpec(8, 3, stride=1, pad=1),
-            ConvLayerSpec(8, 3, stride=1, pad=1, pool_window=2, pool_stride=2),
-        ),
-        input_side=16,
-    ),
-}
-
-
-def image_preset(name: str) -> ConvStackConfig:
-    try:
-        return IMAGE_PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown image preset {name!r} (have {sorted(IMAGE_PRESETS)})") from None
-
-
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize an (H, W, C) float array with half-pixel-centered bilinear sampling.
 

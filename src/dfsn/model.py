@@ -8,17 +8,16 @@ which is how the image-only and text-only baselines are trained.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .autodiff import (LayerParams, Tensor, bias_add, check_int, concat,
                        init_layers, matmul, relu, softmax_cross_entropy, stable_softmax)
-from .image import (ConvStackConfig, ConvLayerSpec, encode_image, image_preset,
-                    init_image_params, preprocess_image)
-from .text import (EmbeddingTable, TextConfig, encode_sentence_matrix, init_text_params,
-                   text_preset, tokenize)
+from .image import (ConvStackConfig, ConvLayerSpec, encode_image, init_image_params,
+                    preprocess_image)
+from .text import EmbeddingTable, TextConfig, encode_sentence_matrix, init_text_params, tokenize
 
 MODALITIES = ("fused", "image", "text")
 
@@ -73,17 +72,48 @@ class FusionConfig:
         return [shape for _, w_shape, b_shape in layers for shape in (w_shape, b_shape)]
 
 
+# The "full" conv stack mirrors the classic 5-layer configuration: 96/256/384/384/256
+# channels, 11/5/3/3/3 kernels, stride 4 then 1, LRN after layers 1-2, pooling
+# after layers 1, 2, 5. Feature size at 224x224 input: 256*6*6 = 9216.
+# The "tiny" stack (16x16 input, feature size 8*2*2 = 32) keeps the same
+# LRN/pool placement and is the default for tests and desk-scale experiments.
+PRESETS = {
+    "full": FusionConfig(
+        image=ConvStackConfig(
+            layers=(
+                ConvLayerSpec(96, 11, stride=4, pad=2, has_lrn=True, pool_window=3, pool_stride=2),
+                ConvLayerSpec(256, 5, stride=1, pad=2, has_lrn=True, pool_window=3, pool_stride=2),
+                ConvLayerSpec(384, 3, stride=1, pad=1),
+                ConvLayerSpec(384, 3, stride=1, pad=1),
+                ConvLayerSpec(256, 3, stride=1, pad=1, pool_window=3, pool_stride=2),
+            ),
+            input_side=224,
+        ),
+        text=TextConfig(filters_per_width=100), hidden1=256, hidden2=64),
+    "tiny": FusionConfig(
+        image=ConvStackConfig(
+            layers=(
+                ConvLayerSpec(4, 3, stride=1, pad=1, has_lrn=True, pool_window=2, pool_stride=2),
+                ConvLayerSpec(4, 3, stride=1, pad=1, has_lrn=True, pool_window=2, pool_stride=2),
+                ConvLayerSpec(8, 3, stride=1, pad=1),
+                ConvLayerSpec(8, 3, stride=1, pad=1),
+                ConvLayerSpec(8, 3, stride=1, pad=1, pool_window=2, pool_stride=2),
+            ),
+            input_side=16,
+        ),
+        text=TextConfig(filters_per_width=2), hidden1=16, hidden2=8),
+}
+
+
 def fusion_preset(name: str, modality: str = "fused", dtype: str = "float32") -> FusionConfig:
-    """Named model scales: "full" (224px, 100 filters, 256/64 head) or "tiny".
-    The branch ``modality`` leaves out is None."""
-    hidden = {"full": (256, 64), "tiny": (16, 8)}
-    if name not in hidden:
-        raise ValueError(f"unknown preset {name!r} (have 'full', 'tiny')")
+    """A ``PRESETS`` model scale at ``dtype``; the branch ``modality`` leaves out is None."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (have {sorted(PRESETS)})")
     if modality not in MODALITIES:
         raise ValueError(f"modality must be one of {MODALITIES}, got {modality!r}")
-    return FusionConfig(image=image_preset(name) if modality != "text" else None,
-                        text=text_preset(name) if modality != "image" else None,
-                        hidden1=hidden[name][0], hidden2=hidden[name][1], dtype=dtype)
+    whole = PRESETS[name]
+    return replace(whole, image=whole.image if modality != "text" else None,
+                   text=whole.text if modality != "image" else None, dtype=dtype)
 
 
 @dataclass

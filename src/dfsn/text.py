@@ -164,19 +164,6 @@ class TextConfig:
         return [(h, (h * self.dim, f), (f,)) for h in self.widths]
 
 
-TEXT_PRESETS = {
-    "full": TextConfig(filters_per_width=100),
-    "tiny": TextConfig(filters_per_width=2),
-}
-
-
-def text_preset(name: str) -> TextConfig:
-    try:
-        return TEXT_PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown text preset {name!r} (have {sorted(TEXT_PRESETS)})") from None
-
-
 def init_text_params(config: TextConfig, rng: Optional[np.random.Generator],
                      dtype=np.float32) -> LayerParams:
     """Per width h a (h*dim, F) filter bank ``text.w{h}`` and its (F,) bias,

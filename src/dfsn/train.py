@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import Tensor, ShapeError, backward, check_int
+from .data import save_checkpoint
 from .model import (FusionModelParams, ModelSample, batch_loss, encode_inputs,
                     forward, predicted_label)
 from .text import EmbeddingTable
@@ -245,9 +246,6 @@ def train(params: FusionModelParams, train_samples: Sequence[ModelSample],
     there (best accuracy is measured on the evaluation split if present,
     otherwise on the training split).
     """
-    # imported here to avoid a module cycle: data handles checkpoint files
-    from .data import save_checkpoint
-
     if len(train_samples) == 0:
         raise ValueError("train needs a nonempty dataset")
     rng = np.random.default_rng(cfg.seed)

@@ -18,9 +18,8 @@ from .autodiff import (Tensor, bias_add, concat, conv2d, lrn, matmul,
                        maxpool2d, relu, softmax_cross_entropy, tanh_op,
                        triple_pool, triple_pool_columns, window_filter)
 from .gradcheck import GradCheckReport, grad_check
-from .model import FusionConfig, ModelSample, batch_loss, init_model
+from .model import FusionConfig, ModelSample, batch_loss, fusion_preset, init_model
 from .text import EmbeddingTable
-from . import model as model_mod
 
 
 def _projection(rng: np.random.Generator, shape) -> np.ndarray:
@@ -42,7 +41,8 @@ def _draw_tieless(rng: np.random.Generator, shape, view_fn: Callable[[np.ndarray
     """
     for _ in range(attempts):
         v = rng.uniform(-1.0, 1.0, size=shape)
-        groups = view_fn(v).reshape(-1, view_fn(v).shape[-1])
+        windows = view_fn(v)
+        groups = windows.reshape(-1, windows.shape[-1])
         srt = np.sort(groups, axis=1)
         if groups.shape[1] < 2:
             return v
@@ -207,7 +207,7 @@ def run_model_check(seed: int = 0, eps: float = 1e-3, tol: float = 1e-4,
     there), so every comparison happens inside one smooth region.
     """
     rng = np.random.default_rng(seed)
-    config = model_mod.fusion_preset("tiny", dtype="float64")
+    config = fusion_preset("tiny", dtype="float64")
     params = init_model(config, seed=seed)
     table = EmbeddingTable(dim=config.text.dim, fallback_seed=seed)
     sample = _demo_sample(rng, config, table)

@@ -9,7 +9,8 @@ from dfsn import autodiff
 from dfsn.autodiff import (LayerParams, ShapeError, Tensor, backward, capture_switch_signature,
                            conv2d, lrn, maxpool2d, triple_pool, triple_pool_columns)
 from dfsn.gradcheck import grad_check
-from dfsn.image import encode_image, image_preset, init_image_params
+from dfsn.image import encode_image, init_image_params
+from dfsn.model import fusion_preset
 
 from oracles import conv2d_loops, lrn_loops, maxpool2d_loops, maxpool2d_picks_loops, project
 from test_autodiff import assert_dtype_rule
@@ -561,7 +562,7 @@ class TestDtypeRule:
     def test_float32_full_stack_agrees_with_float64(self):
         # the same float32 weights and image, run at float32 and at float64;
         # measured max |f32 - f64| / max |f64|: 6.5e-7 to 8.1e-7 over 4 seeds
-        cfg = image_preset("full")
+        cfg = fusion_preset("full").image
         p32 = init_image_params(cfg, np.random.default_rng(0), np.float32)
         p64 = LayerParams(cfg, "image.conv",
                           {i: Tensor(k.values.astype(np.float64)) for i, k in p32.weights.items()},

@@ -3,6 +3,7 @@ checkpoints, filtering, splitting, and the synthetic generator."""
 
 import dataclasses
 import errno
+import io
 import json
 import os
 import struct
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dfsn import data as data_module
 from dfsn.data import (CheckpointFormatError, EmbeddingFormatError, Manifest,
                        ManifestError, PpmFormatError, Sample, filter_by_length,
                        gen_synthetic, load_checkpoint, load_embeddings,
@@ -475,6 +477,45 @@ class TestCheckpoint:
         path.write_bytes(with_crc(body))
         with pytest.raises(CheckpointFormatError, match="'fc1.weight' holds non-finite"):
             load_checkpoint(path)
+
+    def test_crc_is_compared_before_the_finiteness_check(self, tmp_path):
+        # a NaN under the stale CRC is corruption, not a model that diverged
+        params = self.make_params(seed=25)
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(params, path)
+        blob = bytearray(path.read_bytes())
+        first = payload_offset(blob, params, "fc1.weight")
+        blob[first:first + 4] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointFormatError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_load_reads_each_byte_once(self, tmp_path, monkeypatch):
+        opened = []
+
+        class CountingFile(io.FileIO):
+            read_bytes = 0
+
+            def read(self, size=-1):
+                data = super().read(size)
+                self.read_bytes += len(data)
+                return data
+
+            def readinto(self, buffer):
+                n = super().readinto(buffer)
+                self.read_bytes += n
+                return n
+
+        def counting_open(file, mode="r", buffering=-1):
+            assert buffering == 0, "a buffered reader would read ahead of the loader"
+            opened.append(CountingFile(file, mode))
+            return opened[-1]
+
+        path = tmp_path / "model.dfsn"
+        save_checkpoint(self.make_params(seed=26), path)
+        monkeypatch.setattr(data_module, "open", counting_open, raising=False)
+        load_checkpoint(path)
+        assert [f.read_bytes for f in opened] == [path.stat().st_size]
 
     def test_write_is_synced_before_rename(self, tmp_path, monkeypatch):
         events = []

@@ -6,8 +6,8 @@ import pytest
 from dfsn.autodiff import ShapeError, Tensor
 from dfsn.gradcheck import grad_check
 from dfsn.image import (ConvLayerSpec, ConvStackConfig, bilinear_resize,
-                        encode_image, image_preset, init_image_params,
-                        preprocess_image)
+                        encode_image, init_image_params, preprocess_image)
+from dfsn.model import fusion_preset
 
 from oracles import bilinear_resize_four_corner, bilinear_resize_loops, project
 
@@ -81,13 +81,13 @@ class TestPreprocess:
 
 class TestPresets:
     def test_tiny_shape_propagation(self):
-        cfg = image_preset("tiny")
+        cfg = fusion_preset("tiny").image
         shapes = cfg.layer_shapes()
         assert shapes == [(4, 8, 8), (4, 4, 4), (8, 4, 4), (8, 4, 4), (8, 2, 2)]
         assert cfg.feature_size == 32
 
     def test_full_feature_size(self):
-        cfg = image_preset("full")
+        cfg = fusion_preset("full").image
         assert cfg.layer_shapes()[-1] == (256, 6, 6)
         assert cfg.feature_size == 9216
 
@@ -115,7 +115,7 @@ class TestPresets:
             ConvLayerSpec(**kwargs)
 
     def test_collapsing_geometry_rejected_at_construction(self):
-        tiny = image_preset("tiny")
+        tiny = fusion_preset("tiny").image
         with pytest.raises(TypeError, match="input_side"):
             ConvStackConfig(layers=tiny.layers, input_side=16.0)
         # the last layer sees a 4x4 map, so a 5-wide pooling window leaves nothing
@@ -125,10 +125,6 @@ class TestPresets:
         layers = (ConvLayerSpec(4, 7, pool_window=2, pool_stride=2),) + tiny.layers[1:]
         with pytest.raises(ValueError, match="layer 1 collapses"):
             ConvStackConfig(layers=layers, input_side=4)
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            image_preset("mega")
 
 
 def _micro_config():
@@ -147,14 +143,14 @@ def _micro_config():
 
 class TestEncodeImage:
     def test_tiny_output_size_matches_propagated_shape(self):
-        cfg = image_preset("tiny")
+        cfg = fusion_preset("tiny").image
         params = init_image_params(cfg, np.random.default_rng(0), dtype=np.float64)
         img = np.random.default_rng(1).uniform(-0.5, 0.5, (3, 16, 16))
         x = encode_image(img, params)
         assert x.shape == (cfg.feature_size,)
 
     def test_zero_weights_give_zero_features(self):
-        cfg = image_preset("tiny")
+        cfg = fusion_preset("tiny").image
         params = init_image_params(cfg, np.random.default_rng(0), dtype=np.float64)
         for t in params.named_tensors().values():
             t.values[...] = 0.0
@@ -162,7 +158,7 @@ class TestEncodeImage:
         assert np.all(encode_image(img, params).values == 0.0)
 
     def test_feature_size_constant_across_content(self):
-        cfg = image_preset("tiny")
+        cfg = fusion_preset("tiny").image
         params = init_image_params(cfg, np.random.default_rng(0), dtype=np.float64)
         rng = np.random.default_rng(2)
         sizes = {encode_image(rng.uniform(-0.5, 0.5, (3, 16, 16)), params).shape
@@ -171,19 +167,19 @@ class TestEncodeImage:
 
     def test_final_pool_output_nonnegative(self):
         # ReLU precedes the final pool and no LRN follows it
-        cfg = image_preset("tiny")
+        cfg = fusion_preset("tiny").image
         params = init_image_params(cfg, np.random.default_rng(3), dtype=np.float64)
         img = np.random.default_rng(4).uniform(-0.5, 0.5, (3, 16, 16))
         assert np.all(encode_image(img, params).values >= 0.0)
 
     def test_wrong_input_side_rejected(self):
-        cfg = image_preset("tiny")
+        cfg = fusion_preset("tiny").image
         params = init_image_params(cfg, np.random.default_rng(0), dtype=np.float64)
         with pytest.raises(ShapeError, match="input shape"):
             encode_image(np.zeros((3, 8, 8)), params)
 
     def test_shape_error_names_offending_layer(self):
-        cfg = image_preset("tiny")
+        cfg = fusion_preset("tiny").image
         params = init_image_params(cfg, np.random.default_rng(0), dtype=np.float64)
         params.weights[3] = Tensor(np.zeros((8, 99, 3, 3)), requires_grad=True)
         with pytest.raises(ShapeError, match="layer 3"):
@@ -205,7 +201,7 @@ class TestEncodeImage:
         assert report.compared > 0
 
     def test_full_preset_forward_succeeds(self):
-        cfg = image_preset("full")
+        cfg = fusion_preset("full").image
         params = init_image_params(cfg, np.random.default_rng(0), dtype=np.float32)
         img = np.random.default_rng(1).uniform(-0.5, 0.5, (3, 224, 224)).astype(np.float32)
         x = encode_image(img, params)

@@ -114,8 +114,10 @@ def test_ppm(files, data):
     assert_loads_or_format_error(files, load_ppm, PpmFormatError, mutate(blob, edits))
 
 
-# without a recomputed CRC nearly every edit must end at the checksum; with it
-# the edit reaches the config block, the payload size check and the payload
+# fields are checked as they are read and the CRC last: without a recomputed CRC
+# a header edit ends at the first field check it fails (version, config block or
+# payload size), any other edit at the checksum; with it the edit reaches the
+# config block, the payload size check and the payload
 @pytest.mark.parametrize("recompute_crc", [False, True], ids=["stale-crc", "fresh-crc"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())

@@ -1,6 +1,7 @@
 """Fusion head: feature concatenation, the FC stack, losses, prediction."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from dfsn.autodiff import ShapeError, Tensor, backward
 from dfsn.gradcheck import grad_check
 from dfsn.image import ConvLayerSpec, ConvStackConfig, encode_image
-from dfsn.model import (MODALITIES, FusionConfig, ModelSample, batch_loss,
+from dfsn.model import (MODALITIES, PRESETS, FusionConfig, ModelSample, batch_loss,
                         empty_model, encode_inputs, forward, fusion_preset,
                         head_logits, init_model, predict)
 from dfsn.text import EmbeddingTable, TextConfig, encode_sentence_matrix
@@ -274,6 +275,10 @@ class TestModalityVariants:
         assert (config.text is not None) == (modality != "image")
         assert config.modality == modality
         assert micro_config(modality).modality == modality
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(f"(have {sorted(PRESETS)})")):
+            fusion_preset("mega")
 
     def test_unknown_modality_rejected(self):
         with pytest.raises(ValueError, match="audio"):

@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 
 from dfsn.autodiff import LayerParams, ShapeError, Tensor, backward, triple_pool
 from dfsn.gradcheck import grad_check
+from dfsn.model import fusion_preset
 from dfsn.text import (EmbeddingTable, SentenceMatrix, TextConfig, embed_sentence,
                        encode_sentence_matrix, init_text_params, oov_vector,
-                       text_feature_maps, text_preset, tokenize)
+                       text_feature_maps, tokenize)
 
 from oracles import project, text_windows_loops
 
@@ -396,10 +397,8 @@ class TestEncodeText:
         assert report.passed, str(report)
 
     def test_preset_sizes(self):
-        assert text_preset("full").feature_size == 900
-        assert text_preset("tiny").feature_size == 18
-        with pytest.raises(ValueError):
-            text_preset("giant")
+        assert fusion_preset("full").text.feature_size == 900
+        assert fusion_preset("tiny").text.feature_size == 18
 
 
 class TestTriplePoolLaw:
